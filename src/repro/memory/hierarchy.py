@@ -15,7 +15,7 @@ import enum
 from typing import Dict, Optional, Set
 
 from repro.arch.specs import ChipSpec
-from repro.memory.cache import SetAssociativeCache, tensor_blocks
+from repro.memory.cache import SetAssociativeCache
 from repro.tensors.tensor import TensorSpec
 
 
@@ -219,18 +219,13 @@ class MemoryHierarchy:
                 traffic.dram_bytes += size
             else:
                 dirty = write and tensor.uid not in self._no_reuse_hint
-                for block in tensor_blocks(tensor.uid, size, self.block_bytes):
-                    uid, index, block_size = block
-                    hit = self.llc.access((uid, index), write=dirty, size_bytes=block_size)
-                    if hit:
-                        traffic.sram_bytes += block_size
-                    elif write:
-                        # Write-allocate: the line is installed without a
-                        # DRAM fill read.
-                        traffic.sram_bytes += block_size
-                    else:
-                        traffic.dram_bytes += block_size
-                        traffic.sram_bytes += block_size  # fill
+                _, missed = self.llc.access_run(tensor.uid, size, write=dirty)
+                # Every byte passes through SRAM: hits are served from it
+                # and misses fill it.  A read miss also reads DRAM; a
+                # write miss allocates the line without a DRAM fill read.
+                traffic.sram_bytes += size
+                if not write:
+                    traffic.dram_bytes += missed
         else:
             raise AssertionError(f"unhandled placement {placement}")
         return traffic

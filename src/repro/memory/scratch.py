@@ -11,8 +11,9 @@ peak footprint — which is what autotuning compares against LLS capacity.
 The packing algorithm is the classic greedy offset assignment used by ML
 memory planners: process buffers in order of increasing start time and
 place each at the lowest offset not overlapping any live, already-placed
-buffer.  It is not optimal (optimal is NP-hard) but matches what
-production planners do.
+buffer.  Buffers that ended before the current start are retired from the
+scan, so planning costs O(n * live) rather than O(n^2).  It is not optimal
+(optimal is NP-hard) but matches what production planners do.
 """
 
 from __future__ import annotations
@@ -107,15 +108,23 @@ def plan_allocation(
         raise ValueError("alignment must be positive")
     ordered = sorted(requests, key=lambda r: (r.start, -r.size_bytes))
     placements: List[Placement] = []
+    # Requests arrive in start order, so a placed buffer overlaps the
+    # current request exactly when it has not ended before the request
+    # starts -- and once ended it overlaps no later request either.
+    # ``active`` holds the placed buffers not yet retired, in placement
+    # order, so the stable offset sort breaks ties as a full scan would.
+    active: List[Placement] = []
     for request in ordered:
-        live = [p for p in placements if p.request.overlaps(request)]
-        live.sort(key=lambda p: p.offset)
+        active = [p for p in active if p.request.end >= request.start]
+        live = sorted(active, key=lambda p: p.offset)
         offset = 0
         for placed in live:
             if offset + request.size_bytes <= placed.offset:
                 break
             offset = max(offset, _align(placed.end_offset, alignment))
-        placements.append(Placement(request=request, offset=offset))
+        placement = Placement(request=request, offset=offset)
+        placements.append(placement)
+        active.append(placement)
     return AllocationPlan(placements=placements)
 
 

@@ -1,12 +1,19 @@
 """Tests for Che's-approximation cache model (repro.memory.che)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.memory import SetAssociativeCache
-from repro.memory.che import che_hit_rate, tbe_llc_hit_rate, zipf_block_popularities
+from repro.memory.che import (
+    TBE_HIT_RATE_MEMO_SIZE,
+    che_hit_rate,
+    tbe_llc_hit_rate,
+    zipf_block_popularities,
+)
 
 
 class TestBlockPopularities:
@@ -97,6 +104,58 @@ class TestTbeHitRate:
     def test_validation(self):
         with pytest.raises(ValueError):
             tbe_llc_hit_rate(100, 0, 256, 1 << 20)
+
+
+class TestTbeHitRateMemo:
+    ARGS = dict(
+        num_rows_per_table=2_000_000, num_tables=24, row_bytes=256,
+        llc_bytes_for_tbe=48 << 20,
+    )
+
+    def test_repeated_call_returns_identical_float(self):
+        first = tbe_llc_hit_rate(**self.ARGS)
+        again = tbe_llc_hit_rate(**self.ARGS)
+        assert repr(again) == repr(first)
+        assert again == tbe_llc_hit_rate.__wrapped__(**self.ARGS)
+
+    def test_int_and_float_arguments_are_separate_entries(self):
+        as_int = tbe_llc_hit_rate(500_000, 16, 256, 120 << 20, zipf_exponent=1)
+        as_float = tbe_llc_hit_rate(500_000, 16, 256, 120 << 20, zipf_exponent=1.0)
+        assert as_int == tbe_llc_hit_rate.__wrapped__(
+            500_000, 16, 256, 120 << 20, zipf_exponent=1
+        )
+        assert as_float == tbe_llc_hit_rate.__wrapped__(
+            500_000, 16, 256, 120 << 20, zipf_exponent=1.0
+        )
+
+    def test_invalid_arguments_raise_every_time(self):
+        size = tbe_llc_hit_rate.cache_info().currsize
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                tbe_llc_hit_rate(100, 0, 256, 1 << 20)
+            with pytest.raises(ValueError):
+                tbe_llc_hit_rate(100, 4, 256, -1)
+        assert tbe_llc_hit_rate.cache_info().currsize == size
+
+    def test_memo_is_bounded(self):
+        assert tbe_llc_hit_rate.cache_info().maxsize == TBE_HIT_RATE_MEMO_SIZE
+
+    def test_memo_keeps_no_popularity_arrays(self):
+        """A memo entry is the argument tuple and one float: solving a
+        table with 2M blocks (a 16 MB popularity array) leaves nowhere
+        near that much memory allocated once the call returns."""
+        args = (2 * 10**9, 4, 256, 64 << 20)  # 2G rows -> 2M blocks (capped)
+        tbe_llc_hit_rate.cache_clear()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tbe_llc_hit_rate(*args)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before > 16 * 10**6  # the solve did build the array
+        assert retained - before < 64 * 1024
+        assert tbe_llc_hit_rate.cache_info().currsize == 1
 
 
 @given(

@@ -152,6 +152,48 @@ def test_cache_invariants(capacity_blocks, accesses, replacement):
     assert cache.stats.hits + cache.stats.misses == len(accesses)
 
 
+def test_cache_smaller_than_one_set_keeps_its_capacity():
+    """512 KiB of 64 KiB blocks is 8 blocks: a 16-way cache of that size
+    has 8 ways, so sweeping 16 blocks twice cannot hit every time."""
+    cache = SetAssociativeCache(
+        capacity_bytes=512 * KiB, block_bytes=64 * KiB, associativity=16
+    )
+    assert (cache.num_sets, cache.associativity) == (1, 8)
+    for block in range(16):
+        cache.access(block)
+    cache.stats.reset()
+    for block in range(16):
+        cache.access(block)
+    assert cache.stats.hits < 16
+    assert cache.resident_bytes <= cache.capacity_bytes
+
+
+@given(
+    capacity_bytes=st.integers(min_value=64, max_value=64 * 64),
+    block_bytes=st.integers(min_value=1, max_value=64),
+    associativity=st.integers(min_value=1, max_value=32),
+    replacement=st.sampled_from(["lru", "random"]),
+    tensors=st.lists(
+        st.tuples(st.integers(0, 7), st.integers(0, 64 * 48), st.booleans()),
+        max_size=30,
+    ),
+)
+@settings(max_examples=100, deadline=None)
+def test_resident_bytes_never_exceed_capacity(
+    capacity_bytes, block_bytes, associativity, replacement, tensors
+):
+    """For any geometry, the cache never holds more than its capacity."""
+    cache = SetAssociativeCache(
+        capacity_bytes=capacity_bytes, block_bytes=block_bytes,
+        associativity=associativity, replacement=replacement,
+    )
+    assert cache.num_sets * cache.associativity * block_bytes <= capacity_bytes
+    for uid, num_bytes, write in tensors:
+        cache.access_run(uid, num_bytes, write=write)
+        assert cache.resident_bytes <= capacity_bytes
+        assert cache.resident_blocks * block_bytes <= capacity_bytes
+
+
 class TestScratch:
     def test_non_overlapping_buffers_share_memory(self):
         plan = plan_allocation(
