@@ -27,7 +27,6 @@ from repro.cluster.locality import ShardLocalityMap
 from repro.cluster.routing import POLICY_NAMES
 from repro.cluster.service import ServiceModel
 from repro.cluster.simulator import ClusterConfig, ClusterReport, run_cluster
-from repro.fastsim.trials import trial_map
 from repro.obs.tracing import TraceWriter
 from repro.serving.simulator import DEFAULT_P99_SLO_S
 from repro.serving.workload import (
@@ -269,20 +268,6 @@ def replicas_needed(
     )
 
 
-def _sweep_cell(args: Tuple) -> CapacityPoint:
-    """One (policy, qps) cell — module-level so it pickles for
-    :func:`~repro.fastsim.trials.trial_map` workers.  The 8th slot is
-    a fitted capacity surrogate (or None): the pure-numpy surrogate
-    pickles, so guided cells fan out across processes like exact ones."""
-    policy, qps, service, p99_slo_s, locality, duration_s, seed, surrogate = args
-    return replicas_needed(
-        policy, qps, service,
-        p99_slo_s=p99_slo_s, locality=locality,
-        duration_s=duration_s, seed=seed,
-        use_surrogate=surrogate is not None, surrogate=surrogate,
-    )
-
-
 def capacity_sweep(
     service: ServiceModel,
     qps_points: Sequence[float],
@@ -291,18 +276,10 @@ def capacity_sweep(
     locality: Optional[ShardLocalityMap] = None,
     duration_s: float = 40.0,
     seed: int = 0,
-    processes: Optional[int] = None,
     use_surrogate: bool = False,
     surrogate=None,
 ) -> CapacitySweep:
     """The full hosts-vs-QPS grid, one seeded run per cell step.
-
-    Every cell is an independent seeded simulation, so the grid maps
-    over :func:`~repro.fastsim.trials.trial_map`: ``processes=None``
-    (the default) runs sequentially and is the reference behaviour;
-    ``processes=N`` fans cells across worker processes with results
-    returned in submission order — identical points either way, because
-    each cell's randomness is a pure function of its arguments.
 
     ``use_surrogate=True`` forwards a fitted capacity surrogate into
     every cell (see :func:`replicas_needed`): the grid's points are
@@ -310,13 +287,16 @@ def capacity_sweep(
     """
     if use_surrogate and surrogate is None:
         raise ValueError("use_surrogate=True needs a fitted surrogate")
-    cells = [
-        (policy, qps, service, p99_slo_s, locality, duration_s, seed,
-         surrogate if use_surrogate else None)
+    points = [
+        replicas_needed(
+            policy, qps, service,
+            p99_slo_s=p99_slo_s, locality=locality,
+            duration_s=duration_s, seed=seed,
+            use_surrogate=use_surrogate, surrogate=surrogate,
+        )
         for policy in policies
         for qps in qps_points
     ]
-    points = trial_map(_sweep_cell, cells, processes=processes)
     return CapacitySweep(p99_slo_s=p99_slo_s, points=tuple(points))
 
 

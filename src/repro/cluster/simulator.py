@@ -47,9 +47,12 @@ P99 SLO); past that it is counted ``timed_out`` instead of bouncing
 through the front door forever.
 
 The engine is the same discipline as :mod:`repro.resilience.simulator`:
-one event heap keyed ``(time, sequence)``, every random draw from one
-seeded generator in a fixed order, so a seed fully determines the run —
-the property tests assert byte-identical event logs.  An attached
+one :class:`~repro.fastsim.engine.EventEngine` popped in ``(time,
+sequence)`` order, every random draw from one seeded generator in a
+fixed order, so a seed fully determines the run — the property tests
+assert byte-identical event logs.  Queue depths are incremental
+counters; the test suite's oracle swaps in an engine that recounts them
+from scratch after every event.  An attached
 :class:`~repro.obs.metrics.MetricsRegistry` or
 :class:`~repro.obs.tracing.TraceWriter` observes without steering.
 """
@@ -328,8 +331,8 @@ class _Replica:
         # Queue depth, maintained incrementally (len(queue) + one if a
         # request is in service) — the routing hot path reads this on
         # every candidate, so it is a counter rather than a recount.
-        # ``recount()`` is the definition; ``engine="reference"``
-        # revalidates the counter against it after every event.
+        # ``recount()`` is the definition; the test suite's validating
+        # oracle checks the counter against it after every event.
         self.outstanding = 0
 
     def recount(self) -> int:
@@ -369,7 +372,6 @@ class ClusterSimulator:
         client: Optional[ClientRetryConfig] = None,
         injections: Sequence[Injection] = (),
         brownout=None,
-        engine: str = "fast",
         fail_fast: bool = False,
     ) -> None:
         self.config = config
@@ -420,21 +422,6 @@ class ClusterSimulator:
             for s in self.locality.sample_shards(len(self.requests), self._rng)
         ]
         self._fault_schedule = self._presample_faults()
-        # ``fast`` and ``calendar`` differ only in event-queue backend
-        # (identical pop order by construction); ``reference`` is the
-        # verifier mode — it revalidates the incremental queue-depth
-        # counters against full recomputation after every event.
-        if engine in ("fast", "reference"):
-            backend = "heap"
-        elif engine == "calendar":
-            backend = "calendar"
-        else:
-            raise ValueError(
-                f"unknown cluster engine {engine!r}; "
-                f"expected 'fast', 'calendar', or 'reference'"
-            )
-        self._validate = engine == "reference"
-        self.engine = engine
         # Feasibility-probe mode: stop simulating once SLO failure is
         # *certain* — the first lost request (shed or timed out), or
         # more completions over ``config.p99_slo_s`` than the final P99
@@ -451,7 +438,7 @@ class ClusterSimulator:
         # whatever is pending) but describes a truncated run.
         self._fail_fast = fail_fast
         self._slo_over = 0
-        self._events = EventEngine(backend=backend)
+        self._events = EventEngine()
         self._outstanding_total = 0
         self._replicas: Dict[int, _Replica] = {}
         self._next_replica_id = 0
@@ -597,8 +584,6 @@ class ClusterSimulator:
                 t += tick
             self._events.schedule_batch(ticks)
 
-        events = self._events
-        validate = self._validate
         fail_fast = self._fail_fast
         slo_budget = 0
         if fail_fast and self.requests:
@@ -608,7 +593,7 @@ class ClusterSimulator:
             # .sorted_percentile; the allowance only grows with count).
             n = len(self.requests)
             slo_budget = (n - 1) - min(n - 1, int(round(0.99 * (n - 1))))
-        pop = events.pop
+        pop = self._events.pop
         route = self._route
         while True:
             if fail_fast and (
@@ -637,8 +622,6 @@ class ClusterSimulator:
                 self._on_client_check(entity)
             elif kind == "retry_fire":
                 self._on_retry_fire(entity)
-            if validate:
-                self._validate_counters(kind)
 
         # Conservation sweep: anything still pending (wedged behind an
         # unhealed partition, a never-recovered outage) is lost work.
@@ -729,32 +712,6 @@ class ClusterSimulator:
 
     def _total_outstanding(self) -> int:
         return self._outstanding_total
-
-    def _validate_counters(self, kind: str) -> None:
-        """Reference-engine invariant check, run after every event: the
-        incremental per-replica and tier-wide queue-depth counters must
-        equal full recomputation, and non-serving replicas must hold no
-        work (the legacy tier-wide sum skipped them, the counter does
-        not — equality requires both)."""
-        serving_total = 0
-        full_total = 0
-        for replica in self._replicas.values():
-            expected = replica.recount()
-            if replica.outstanding != expected:
-                raise AssertionError(
-                    f"replica {replica.replica_id} outstanding counter "
-                    f"{replica.outstanding} != recount {expected} "
-                    f"after {kind!r} at t={self._now}"
-                )
-            full_total += expected
-            if replica.serving:
-                serving_total += expected
-        if self._outstanding_total != full_total or serving_total != full_total:
-            raise AssertionError(
-                f"tier outstanding counter {self._outstanding_total} != "
-                f"recount {full_total} (serving {serving_total}) "
-                f"after {kind!r} at t={self._now}"
-            )
 
     def _up_count(self) -> int:
         return sum(1 for r in self._replicas.values() if r.state == "up")
@@ -1194,16 +1151,9 @@ def run_cluster(
     client: Optional[ClientRetryConfig] = None,
     injections: Sequence[Injection] = (),
     brownout=None,
-    engine: str = "fast",
     fail_fast: bool = False,
 ) -> ClusterReport:
     """One-call entry point: simulate a cluster run and return the report.
-
-    ``engine`` selects the event substrate: ``fast`` (binary heap,
-    default), ``calendar`` (bucketed calendar queue — identical pop
-    order), or ``reference`` (fast plus per-event revalidation of the
-    incremental queue-depth counters — the differential-test oracle).
-    All three are byte-identical in every report field.
 
     ``fail_fast`` stops the run at the first lost request — a
     feasibility probe for searches that only ask "does this size hold
@@ -1217,5 +1167,5 @@ def run_cluster(
         locality=locality, autoscaler=autoscaler, pool=pool,
         registry=registry, tracer=tracer, throttle=throttle,
         defense=defense, client=client, injections=injections,
-        brownout=brownout, engine=engine, fail_fast=fail_fast,
+        brownout=brownout, fail_fast=fail_fast,
     ).run()

@@ -25,13 +25,11 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.fastsim.trials import trial_map
 from repro.fleet_global.drills import region_outage_drill
 from repro.fleet_global.failover import FailoverConfig
 from repro.fleet_global.regions import FleetConfig, standard_fleet
 from repro.fleet_global.simulator import FleetReport, run_fleet
 from repro.obs.metrics import MetricsRegistry, active
-from repro.serving.simulator import DEFAULT_P99_SLO_S
 
 # Loss budget for "holding the SLO through the outage": the defended
 # arm inevitably loses the detection window (probes must fail twice
@@ -184,10 +182,15 @@ class CapacityStudy:
         return "\n".join(lines)
 
 
-def _study_point(args: Tuple) -> CapacityPoint:
-    """All three arms for one candidate size — module-level so the
-    sweep's sizes pickle for :func:`~repro.fastsim.trials.trial_map`."""
-    size, users_millions, duration_s, seed, failover, registry = args
+def _study_point(
+    size: int,
+    users_millions: float,
+    duration_s: float,
+    seed: int,
+    failover: Optional[FailoverConfig],
+    registry: Optional[MetricsRegistry],
+) -> CapacityPoint:
+    """All three arms for one candidate size."""
     fleet = standard_fleet(
         replicas_per_region=size,
         users_millions=users_millions,
@@ -218,34 +221,19 @@ def run_capacity_study(
     max_loss_fraction: float = DEFAULT_MAX_LOSS_FRACTION,
     failover: Optional[FailoverConfig] = None,
     registry: Optional[MetricsRegistry] = None,
-    processes: Optional[int] = None,
 ) -> CapacityStudy:
     """Sweep replicas-per-region and find the outage-surviving minimum.
 
     Each candidate size is an independent seeded trial (three fleet
-    runs), so the sweep maps over
-    :func:`~repro.fastsim.trials.trial_map`: ``processes=None`` runs
-    sequentially (the reference behaviour); ``processes=N`` fans sizes
-    across worker processes with identical results in the same order.
-    A live metrics ``registry`` cannot cross process boundaries, so the
-    parallel path refuses one rather than silently dropping metrics.
+    runs), swept in ascending order.
     """
     if not sizes or any(size <= 0 for size in sizes):
         raise ValueError("sizes must be positive replica counts")
-    if processes is not None and processes != 1 and registry is not None:
-        raise ValueError(
-            "parallel capacity study cannot carry a metrics registry; "
-            "detach the registry or run with processes=None"
-        )
     sizes = tuple(sorted(set(sizes)))
-    points = trial_map(
-        _study_point,
-        [
-            (size, users_millions, duration_s, seed, failover, registry)
-            for size in sizes
-        ],
-        processes=processes,
-    )
+    points = [
+        _study_point(size, users_millions, duration_s, seed, failover, registry)
+        for size in sizes
+    ]
     fleet = standard_fleet(
         replicas_per_region=sizes[-1],
         users_millions=users_millions,

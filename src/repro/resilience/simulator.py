@@ -14,21 +14,21 @@ closed loop over simulated time:
   wave under its restart-concurrency limit when the pool's
   ``slo_at_risk`` signal (from :mod:`repro.serving.faults`) trips.
 
-The engine is a classic event heap keyed on ``(time, sequence)``; all
-randomness flows from one seeded generator consumed in a fixed order, so
-two runs with the same seed produce identical event logs — byte for
-byte — which the acceptance tests assert.
+The engine is the shared :class:`~repro.fastsim.engine.EventEngine`,
+popped in ``(time, sequence)`` order; all randomness flows from one
+seeded generator consumed in a fixed order, so two runs with the same
+seed produce identical event logs — byte for byte — which the
+acceptance tests assert and pin.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import heapq
-import itertools
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.fastsim.engine import EventEngine
 from repro.resilience.device import (
     Device,
     DeviceState,
@@ -142,8 +142,7 @@ class ResilienceSimulator:
             for i in range(config.devices)
         }
         self._log = EventLog()
-        self._heap: List[Tuple[float, int, str, Optional[int], dict]] = []
-        self._seq = itertools.count()
+        self._events = EventEngine()
         self._intervals: List[IntervalMetrics] = []
         # Transient bookkeeping.
         self._degrade_until: Dict[int, float] = {}
@@ -160,9 +159,7 @@ class ResilienceSimulator:
 
     def _push(self, time_s: float, kind: str, device_id: Optional[int] = None,
               **payload: float) -> None:
-        heapq.heappush(
-            self._heap, (time_s, next(self._seq), kind, device_id, payload)
-        )
+        self._events.schedule(time_s, (kind, device_id, payload))
 
     def _emit(self, time_s: float, kind: EventKind,
               device_id: Optional[int] = None, **detail: float) -> None:
@@ -191,8 +188,8 @@ class ResilienceSimulator:
             t += config.metrics_interval_s
         self._push(config.duration_s, "metrics")
 
-        while self._heap:
-            time_s, _, kind, device_id, payload = heapq.heappop(self._heap)
+        while self._events:
+            time_s, _, (kind, device_id, payload) = self._events.pop()
             if time_s > config.duration_s + 1e-9:
                 break
             self._dispatch(time_s, kind, device_id, payload)

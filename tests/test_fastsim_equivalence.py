@@ -1,32 +1,27 @@
-"""Differential tests: the fastsim engines versus the reference paths.
+"""Differential tests: the fast engines versus their exact-path oracles.
 
-The PR-8 determinism contract: porting the hot simulation loops onto
-:mod:`repro.fastsim` (ready-heap scheduling, calendar-queue events,
-clean-artifact caching) changes *runtime only*.  Every report field —
-every float, every count, every event-log entry, and the Chrome trace
-bytes — must match the reference implementation exactly, not
-approximately.  These tests run the same seeded scenarios through each
-engine and assert structural equality, which for tuples of floats is
-byte-identity.
+The determinism contract of :mod:`repro.fastsim`: the ready-heap
+scheduler and the incremental-counter event loops change *runtime
+only*.  Every report field — every float, every count, every event-log
+entry, and the Chrome trace bytes — must match the oracle exactly, not
+approximately.  These tests run the same seeded scenarios through the
+fast path and the oracle and assert structural equality, which for
+tuples of floats is byte-identity.
 
-The reference arms are:
+The oracles live in :mod:`tests.fastsim_reference`:
 
-* serving — ``schedule_batches(engine="reference")``, the original
-  O(n^2) pending-list scan kept verbatim in
-  :mod:`repro.fastsim.reference`;
-* cluster / chaos / fleet — ``engine="reference"``, the heap engine
-  plus per-event revalidation of every incremental counter against a
-  from-scratch recount (the NeuroScalar-style online verifier), and
-  ``engine="calendar"``, the bucketed queue that must pop in the same
-  total order as the heap.
+* serving — :func:`schedule_batches_reference`, the original O(n^2)
+  pending-list scan, kept verbatim;
+* cluster / chaos / fleet — :func:`validating_cluster_engine`, the same
+  event engine plus a from-scratch recount of every incremental
+  queue-depth counter after every event (the NeuroScalar-style online
+  verifier).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-
-import pytest
 
 from repro.chaos import CampaignConfig as ChaosCampaignConfig
 from repro.chaos import run_scenario, scenario_by_name
@@ -44,8 +39,20 @@ from repro.obs.tracing import TraceWriter
 from repro.serving.batcher import CoalescingConfig, coalesce
 from repro.serving.scheduler import ModelJobProfile, schedule_batches
 from repro.serving.workload import poisson_stream
+from tests.fastsim_reference import (
+    schedule_batches_reference,
+    validating_cluster_engine,
+)
 
-ENGINES = ("fast", "calendar", "reference")
+
+def _fast_and_oracle(run):
+    """``run()`` on the production engine, then under the validating
+    oracle engine (which must have checked at least one event)."""
+    fast = run()
+    with validating_cluster_engine() as engines:
+        oracle = run()
+    assert engines and all(engine.checks for engine in engines)
+    return fast, oracle
 
 
 def _schedule_fingerprint(result, registry):
@@ -86,26 +93,16 @@ class TestServingScheduler:
             ),
         )
         fingerprints = {}
-        for engine in ("fast", "reference"):
+        for name, schedule in (
+            ("fast", schedule_batches), ("reference", schedule_batches_reference)
+        ):
             registry = MetricsRegistry(enabled=True)
-            result = schedule_batches(
-                batches, profile, registry=registry, engine=engine
-            )
-            fingerprints[engine] = _schedule_fingerprint(result, registry)
+            result = schedule(batches, profile, registry=registry)
+            fingerprints[name] = _schedule_fingerprint(result, registry)
         assert fingerprints["fast"] == fingerprints["reference"]
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            schedule_batches(
-                (), ModelJobProfile(
-                    remote_time_s=0.001, merge_time_s=0.001,
-                    remote_jobs_per_batch=1,
-                ),
-                engine="warp",
-            )
 
-
-def _chaotic_cluster_run(engine: str):
+def _chaotic_cluster_run():
     """A cluster run exercising every event family the engines order:
     arrivals, departures, faults, autoscale-free injections (outage,
     slowdown, partition), and client retry timers."""
@@ -136,19 +133,13 @@ def _chaotic_cluster_run(engine: str):
         config, service, requests,
         client=ClientRetryConfig(timeout_s=0.3, max_retries=2),
         injections=injections,
-        engine=engine,
     )
 
 
 class TestClusterEngines:
     def test_all_engines_byte_identical(self):
-        reports = {engine: _chaotic_cluster_run(engine) for engine in ENGINES}
-        assert reports["fast"] == reports["reference"]
-        assert reports["fast"] == reports["calendar"]
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            _chaotic_cluster_run("warp")
+        fast, oracle = _fast_and_oracle(_chaotic_cluster_run)
+        assert fast == oracle
 
 
 def _trace_sha256(tracer: TraceWriter) -> str:
@@ -160,28 +151,26 @@ class TestChaosScenario:
     def test_defended_storm_identical_across_engines(self):
         scenario = scenario_by_name("retry_storm")
         config = ChaosCampaignConfig(duration_s=15.0)
-        outcomes = {}
-        hashes = {}
-        for engine in ENGINES:
+
+        def run():
             tracer = TraceWriter("chaos-equivalence")
-            outcomes[engine] = run_scenario(
-                scenario, config, defended=True, tracer=tracer, engine=engine
+            outcome = run_scenario(
+                scenario, config, defended=True, tracer=tracer
             )
-            hashes[engine] = _trace_sha256(tracer)
-        assert outcomes["fast"] == outcomes["reference"]
-        assert outcomes["fast"] == outcomes["calendar"]
+            return outcome, _trace_sha256(tracer)
+
+        (fast, fast_hash), (oracle, oracle_hash) = _fast_and_oracle(run)
+        assert fast == oracle
         # The Chrome trace is the strictest observable: every event's
         # timestamp, lane, and payload, serialized — equal bytes or bust.
-        assert hashes["fast"] == hashes["reference"] == hashes["calendar"]
+        assert fast_hash == oracle_hash
 
 
 class TestFleetDay:
     def test_outage_drill_identical_across_engines(self):
         fleet = standard_fleet(replicas_per_region=4, duration_s=24.0, seed=3)
         drill = region_outage_drill(fleet)
-        reports = {
-            engine: run_fleet(fleet, drill, defended=True, engine=engine)
-            for engine in ENGINES
-        }
-        assert reports["fast"] == reports["reference"]
-        assert reports["fast"] == reports["calendar"]
+        fast, oracle = _fast_and_oracle(
+            lambda: run_fleet(fleet, drill, defended=True)
+        )
+        assert fast == oracle

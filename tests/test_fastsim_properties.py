@@ -3,9 +3,10 @@
 Hypothesis drives the primitives the fast engines are built on and
 checks the contracts every consumer relies on:
 
-* queue equivalence — the calendar queue pops arbitrary event sets in
-  exactly the binary heap's total (time, tiebreak) order, whatever the
-  bucket width or insertion order;
+* queue model — any interleaving of ``schedule`` (default and explicit
+  tiebreak), ``schedule_batch`` and ``pop`` behaves step for step like
+  a plain ``heapq`` of ``(time, seq, payload)``: same popped entry,
+  ``len``, ``bool`` and ``count_due``;
 * total ordering under ties — same-timestamp events drain in tiebreak
   order regardless of push order, and the cluster tier's
   ``injection_sort_key`` is permutation-invariant (any arrangement of
@@ -20,7 +21,11 @@ checks the contracts every consumer relies on:
 
 from __future__ import annotations
 
+import heapq
+import itertools
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,7 +37,6 @@ from repro.cluster.simulator import (
     injection_sort_key,
 )
 from repro.fastsim import (
-    CalendarQueue,
     EventEngine,
     KernelLatencyMemo,
     seeded_poisson_arrivals,
@@ -40,57 +44,70 @@ from repro.fastsim import (
 from repro.kernels.gemm import default_variants
 from repro.tensors import DType, GemmShape
 
-# Event times in a range that spans many calendar buckets, including
-# exact duplicates (drawn times are rounded to force collisions).
-event_times = st.lists(
-    st.floats(min_value=0.0, max_value=50.0,
-              allow_nan=False, allow_infinity=False).map(
-        lambda t: round(t, 1)
+# Event times rounded to force exact duplicates.
+event_time = st.floats(
+    min_value=0.0, max_value=50.0, allow_nan=False, allow_infinity=False
+).map(lambda t: round(t, 1))
+event_times = st.lists(event_time, min_size=0, max_size=120)
+
+engine_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("schedule"), event_time),
+        st.tuples(
+            st.just("schedule_tiebreak"), event_time,
+            st.integers(min_value=0, max_value=10**6),
+        ),
+        st.tuples(st.just("batch"), st.lists(event_time, max_size=12)),
+        st.tuples(st.just("pop")),
     ),
-    min_size=0,
-    max_size=120,
+    max_size=80,
 )
 
 
 class TestQueueEquivalence:
-    @given(times=event_times, width=st.sampled_from((0.05, 0.25, 1.0, 8.0)))
-    @settings(max_examples=60, deadline=None)
-    def test_calendar_pops_in_heap_order(self, times, width):
-        heap = EventEngine(backend="heap")
-        calendar = EventEngine(backend="calendar", bucket_width=width)
-        for payload, time_s in enumerate(times):
-            heap.schedule(time_s, payload)
-            calendar.schedule(time_s, payload)
-        assert len(heap) == len(calendar) == len(times)
-        while heap:
-            assert heap.pop() == calendar.pop()
-        assert not calendar
-
-    @given(times=event_times)
-    @settings(max_examples=40, deadline=None)
-    def test_rebucketing_preserves_order(self, times):
-        # A pathologically wide bucket forces everything into one bucket
-        # and (past the threshold) a rebucketing cascade; order must
-        # survive the resize.
-        wide = EventEngine(backend="calendar", bucket_width=1e6)
-        reference = EventEngine(backend="heap")
-        for payload, time_s in enumerate(times):
-            wide.schedule(time_s, payload)
-            reference.schedule(time_s, payload)
-        drained = [wide.pop() for _ in range(len(wide))]
-        expected = [reference.pop() for _ in range(len(reference))]
-        assert drained == expected
+    @given(ops=engine_ops, probe=event_time)
+    @settings(max_examples=150, deadline=None)
+    def test_interleaved_ops_match_heapq_model(self, ops, probe):
+        engine = EventEngine()
+        model = []
+        seq = itertools.count()
+        for index, op in enumerate(ops):
+            if op[0] == "schedule":
+                engine.schedule(op[1], index)
+                heapq.heappush(model, (op[1], next(seq), index))
+            elif op[0] == "schedule_tiebreak":
+                # Unique and negative: never equal to a sequence number.
+                tiebreak = -(op[2] * 1000 + index + 1)
+                engine.schedule(op[1], index, tiebreak=tiebreak)
+                heapq.heappush(model, (op[1], tiebreak, index))
+            elif op[0] == "batch":
+                items = [(t, (index, k)) for k, t in enumerate(op[1])]
+                engine.schedule_batch(items)
+                for time_s, payload in items:
+                    heapq.heappush(model, (time_s, next(seq), payload))
+            elif model:
+                assert engine.pop() == heapq.heappop(model)
+            else:
+                with pytest.raises(IndexError):
+                    engine.pop()
+            assert len(engine) == len(model)
+            assert bool(engine) == bool(model)
+            assert engine.count_due(probe) == sum(
+                1 for entry in model if entry[0] <= probe
+            )
+        while model:
+            assert engine.pop() == heapq.heappop(model)
+        assert not engine
 
     @given(
         ties=st.lists(st.integers(min_value=0, max_value=10**6),
                       min_size=1, max_size=60, unique=True),
-        backend=st.sampled_from(("heap", "calendar")),
     )
     @settings(max_examples=60, deadline=None)
-    def test_same_timestamp_drains_in_tiebreak_order(self, ties, backend):
+    def test_same_timestamp_drains_in_tiebreak_order(self, ties):
         # Every event lands at t=1.0; the explicit tiebreak alone must
         # decide the order, whatever order the pushes arrived in.
-        engine = EventEngine(backend=backend)
+        engine = EventEngine()
         for tiebreak in ties:
             engine.schedule(1.0, f"payload-{tiebreak}", tiebreak=tiebreak)
         popped = [engine.pop()[1] for _ in range(len(engine))]
@@ -101,39 +118,11 @@ class TestQueueEquivalence:
     def test_default_tiebreak_is_fifo_at_equal_times(self, times):
         # Without explicit tiebreaks the engine falls back to insertion
         # sequence, so equal-time events drain first-scheduled-first.
-        engine = EventEngine(backend="calendar", bucket_width=0.5)
+        engine = EventEngine()
         for payload, time_s in enumerate(times):
             engine.schedule(time_s, payload)
         drained = [engine.pop() for _ in range(len(engine))]
         assert drained == sorted(drained, key=lambda e: (e[0], e[1]))
-
-    @given(
-        times=event_times,
-        mid_drain=st.integers(min_value=0, max_value=30),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_interleaved_push_pop(self, times, mid_drain):
-        # Pops interleaved with pushes (the simulator's actual access
-        # pattern) still come out globally sorted.
-        calendar = CalendarQueue(bucket_width=0.25)
-        first, second = times[: len(times) // 2], times[len(times) // 2:]
-        for seq, time_s in enumerate(first):
-            calendar.push((time_s, seq, None))
-        drained = [
-            calendar.pop() for _ in range(min(mid_drain, len(calendar)))
-        ]
-        for seq, time_s in enumerate(second, start=len(first)):
-            calendar.push((time_s, seq, None))
-        while len(calendar):
-            drained.append(calendar.pop())
-        # Each pop returns the global minimum of what was enqueued, so
-        # the prefix drained early is sorted and below the later pushes
-        # only where times allow; the full multiset must be preserved.
-        assert sorted(drained) == sorted(
-            (t, s, None) for s, t in enumerate(first + second)
-        )
-        tail = drained[len(drained) - len(second) - (len(first) - mid_drain):]
-        assert tail == sorted(tail)
 
 
 injections = st.lists(

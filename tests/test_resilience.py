@@ -1,5 +1,7 @@
 """Tests for the fleet resilience simulator (section 5.5 closed loop)."""
 
+import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -376,6 +378,37 @@ class TestEvaluateInterval:
 # ---------------------------------------------------------------------------
 
 
+def _sha256_json(document) -> str:
+    text = json.dumps(document, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _report_jsonable(report) -> dict:
+    """Every report field at full float precision (json floats are repr)."""
+    document = dataclasses.asdict(
+        dataclasses.replace(report, events=EventLog())
+    )
+    document["events"] = [
+        (event.time_s, event.kind.value, event.device_id,
+         sorted(event.detail.items()))
+        for event in report.events
+    ]
+    return document
+
+
+# (event log, report) sha256 per arm of run_section_55_drill(seed=0).
+PINNED_DRILL_DIGESTS = {
+    "baseline": (
+        "41f9bb800ef5a85d86bed5371363022a4378d7aa5a96dd4270f3e6dd1d945c0b",
+        "a1cce49a1d0a54e60761169fcc154c16dfa30796fc4d0032dd457d983c9d340f",
+    ),
+    "mitigated": (
+        "cee238add1e5f4836cbbd58bdb840af8b005fa0730dd4595602f3f8179ddd6bc",
+        "a237703cc8e4cf0e7c0f158d21ed8695dc25f3d63de433c7ef86229c10b52ce4",
+    ),
+}
+
+
 @pytest.fixture(scope="module")
 def drill():
     """One shared section 5.5 drill (both arms, default paper-rate knobs)."""
@@ -442,6 +475,20 @@ class TestSection55Arc:
             again.mitigated.events.to_jsonable()
             == drill.mitigated.events.to_jsonable()
         )
+
+    def test_drill_digests_pinned(self, drill):
+        """Both arms' event logs and reports, byte for byte.
+
+        The same-seed test above only shows two runs agree; this pin
+        also catches a change in event order, e.g. from a new queue."""
+        digests = {
+            arm: (_sha256_json(report.events.to_jsonable()),
+                  _sha256_json(_report_jsonable(report)))
+            for arm, report in (
+                ("baseline", drill.baseline), ("mitigated", drill.mitigated)
+            )
+        }
+        assert digests == PINNED_DRILL_DIGESTS
 
     def test_different_seed_different_schedule(self, drill):
         other = run_section_55_drill(seed=1, duration_days=30)
