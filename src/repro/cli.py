@@ -471,8 +471,7 @@ def cmd_surrogate(args: argparse.Namespace) -> int:
           f"points, seed {args.seed}")
     started = time.perf_counter()
     surrogate, reports = train_gemm_surrogate(
-        chip, n_samples=samples, seed=args.seed,
-        include_energy=not args.smoke,
+        chip, n_samples=samples, seed=args.seed
     )
     train_s = time.perf_counter() - started
     print(f"{'target':>8}  {'rows':>6}  {'MAPE':>7}  {'P95 rel':>8}  "
@@ -551,8 +550,7 @@ def cmd_surrogate(args: argparse.Namespace) -> int:
             registry = MetricsRegistry()
             guided = replicas_needed(
                 "po2", qps, service, duration_s=8.0, max_replicas=48,
-                seed=args.seed, use_surrogate=True,
-                surrogate=cap_surrogate, registry=registry,
+                seed=args.seed, surrogate=cap_surrogate, registry=registry,
             )
             exact = replicas_needed(
                 "po2", qps, service, duration_s=8.0, max_replicas=48,
@@ -574,8 +572,7 @@ def cmd_surrogate(args: argparse.Namespace) -> int:
         registry = MetricsRegistry()
         guided_sweep = power_limited_capacity_sweep(
             service, budgets, replicas=8, duration_s=10.0, seed=args.seed,
-            use_surrogate=True, surrogate=power_surrogate,
-            registry=registry,
+            surrogate=power_surrogate, registry=registry,
         )
         exact_sweep = power_limited_capacity_sweep(
             service, budgets, replicas=8, duration_s=10.0, seed=args.seed,
@@ -880,9 +877,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     surrogate.add_argument("--smoke", action="store_true",
                            help="small fixed-size training run for CI")
-    surrogate.add_argument("--train", action="store_true",
-                           help="full training run with error bands and "
-                                "the exact-vs-surrogate speedup probe")
     surrogate.add_argument("--sweep", action="store_true",
                            help="also run the guided capacity and power "
                                 "sweeps against their exact baselines")

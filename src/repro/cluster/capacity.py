@@ -18,7 +18,9 @@ queue-blind JSQ and the locality-aware policy.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
+import operator
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.cluster.admission import AdmissionConfig
@@ -101,19 +103,58 @@ def _stream(qps: float, duration_s: float, seed: int) -> Sequence[Request]:
     )
 
 
-def _step_fractions(qps_step_fraction: float) -> Tuple[float, ...]:
-    """The exact probe ladder ``max_qps_at_slo`` walks, highest first.
+# The offered-load rungs ``max_qps_at_slo`` probes, as fractions of the
+# fluid capacity bound, highest first: 1.0, 0.95, ..., 0.05.  Built by
+# repeated subtraction, so every rung (and every QPS derived from it) is
+# the same float the original step-down scan produced.
+_LOAD_LADDER: Tuple[float, ...] = tuple(
+    itertools.accumulate([1.0] + [0.05] * 19, operator.sub)
+)
 
-    Built by the same repeated subtraction the scan performs, so the
-    float values (and therefore every derived QPS) are bit-identical
-    between the scan and the surrogate-guided search over this ladder.
+
+def _max_qps_search(
+    service: ServiceModel,
+    replicas: int,
+    p99_slo_s: float,
+    duration_s: float,
+    seed: int,
+    start_fraction: float = 1.0,
+) -> Tuple[float, float, int, int]:
+    """The load-ladder boundary search behind :func:`max_qps_at_slo`.
+
+    Rung 0 is the highest load; feasibility is monotone non-decreasing
+    in the rung index (less load, easier SLO), so
+    :func:`~repro.surrogate.verify.verified_min_feasible` finds the
+    first rung that holds the SLO.  It starts at the rung nearest
+    ``start_fraction``: the top rung by default, which probes rungs in
+    step-down order, or a surrogate's predicted fraction.  Returns
+    ``(max_qps, p99, exact_runs, scan_runs)``, where ``scan_runs`` is
+    what the search started at the top rung would have spent.
     """
-    fractions = []
-    fraction = 1.0
-    while fraction > qps_step_fraction / 2:
-        fractions.append(fraction)
-        fraction -= qps_step_fraction
-    return tuple(fractions)
+    from repro.surrogate.verify import verified_min_feasible
+
+    ceiling = replicas * service.capacity_per_replica()
+    config = ClusterConfig(replicas=replicas, num_hosts=replicas, seed=seed)
+    probed: Dict[int, Tuple[float, float]] = {}
+
+    def _feasible(rung: int) -> bool:
+        qps = ceiling * _LOAD_LADDER[rung]
+        requests = poisson_stream(qps, duration_s, seed=seed)
+        report = run_cluster(config, service, requests)
+        probed[rung] = (qps, report.p99_latency_s)
+        return report.meets_slo(p99_slo_s)
+
+    start = min(
+        range(len(_LOAD_LADDER)),
+        key=lambda rung: abs(_LOAD_LADDER[rung] - start_fraction),
+    )
+    answer, exact_runs = verified_min_feasible(
+        start, 0, len(_LOAD_LADDER) - 1, _feasible
+    )
+    if answer is None:
+        return 0.0, float("inf"), exact_runs, len(_LOAD_LADDER)
+    qps, p99 = probed[answer]
+    return qps, p99, exact_runs, answer + 1
 
 
 def max_qps_at_slo(
@@ -122,26 +163,16 @@ def max_qps_at_slo(
     p99_slo_s: float,
     duration_s: float,
     seed: int,
-    qps_step_fraction: float = 0.05,
 ) -> Tuple[float, float]:
     """Largest offered QPS the replica set serves within the SLO with no
-    shedding, by stepping down from the fluid capacity bound.
+    shedding, by stepping down from the fluid capacity bound in 5%
+    rungs.
 
     Returns ``(max_qps, p99_at_max)``; ``(0, inf)`` if even the lightest
-    probe misses.  (Historically lived in ``repro.power.cluster_link``,
-    which still re-exports it; it moved here because it is the serving
-    tier's Perf primitive — the power sweep and the codesign DSE both
-    score candidates with it.)
+    rung misses.  This is the serving tier's Perf primitive: the power
+    sweep and the codesign DSE both score candidates with it.
     """
-    ceiling = replicas * service.capacity_per_replica()
-    config = ClusterConfig(replicas=replicas, num_hosts=replicas, seed=seed)
-    for fraction in _step_fractions(qps_step_fraction):
-        qps = ceiling * fraction
-        requests = poisson_stream(qps, duration_s, seed=seed)
-        report = run_cluster(config, service, requests)
-        if report.meets_slo(p99_slo_s):
-            return qps, report.p99_latency_s
-    return 0.0, float("inf")
+    return _max_qps_search(service, replicas, p99_slo_s, duration_s, seed)[:2]
 
 
 def replicas_needed(
@@ -154,42 +185,50 @@ def replicas_needed(
     max_replicas: int = 96,
     seed: int = 0,
     admission: Optional[AdmissionConfig] = None,
-    use_surrogate: bool = False,
     surrogate=None,
     registry=None,
 ) -> CapacityPoint:
     """Smallest replica count holding the SLO with zero shedding.
 
-    Starts at the work-conserving bound and walks upward — replica count
-    versus tail latency is monotone enough at these scales that linear
-    search from the bound is both cheap and exact.  Undersized counts
-    probe with ``fail_fast``: the SLO here demands *zero* loss, so the
-    first shed or timeout already proves infeasibility and the rest of
-    the run is skipped.  A run that finishes without loss is identical
-    with or without the flag, so the returned point (and its report
-    statistics) match the exhaustive search byte for byte.
+    Walks upward from the work-conserving bound
+    ``ceil(rate * service_time)`` — replica count versus tail latency is
+    monotone enough at these scales that a walk from the bound is both
+    cheap and exact.  Probes run with ``fail_fast``: the SLO here
+    demands *zero* loss, so the first shed or timeout already proves
+    infeasibility and the rest of the run is skipped.  A run that
+    finishes without loss is identical with or without the flag, so the
+    returned point (and its report statistics) match an exhaustive
+    search byte for byte.  When no count up to ``max_replicas`` holds,
+    the ceiling is re-run exhaustively and returned as infeasible.
 
-    ``use_surrogate=True`` (with a fitted capacity
-    :class:`~repro.surrogate.model.SurrogateModel`, see
-    :func:`repro.surrogate.dataset.train_capacity_surrogate`) keeps the
-    answer exact but replaces the scan's *starting point*: the surrogate
-    predicts the replica count and
-    :func:`repro.surrogate.verify.verified_min_feasible` certifies the
-    boundary with exact seeded runs from both sides.  Under the same
-    monotone-feasibility assumption the linear scan already relies on,
-    the returned point is identical — only the number of cluster
-    simulations spent changes (tallied under ``surrogate.capacity.*``
-    on an attached registry).
+    A fitted capacity :class:`~repro.surrogate.model.SurrogateModel`
+    (see :func:`repro.surrogate.dataset.train_capacity_surrogate`)
+    moves only the walk's *starting point* to its predicted replica
+    count; :func:`repro.surrogate.verify.verified_min_feasible`
+    certifies the boundary with exact seeded runs from both sides.
+    Under the monotone-feasibility assumption the walk already relies
+    on, the returned point is identical — only the number of cluster
+    simulations changes (tallied under ``surrogate.capacity.*`` on an
+    attached registry).
     """
+    from repro.surrogate.verify import verified_min_feasible
+
     if offered_qps <= 0:
         raise ValueError("offered QPS must be positive")
-    if use_surrogate and surrogate is None:
-        raise ValueError("use_surrogate=True needs a fitted surrogate")
     requests = _stream(offered_qps, duration_s, seed)
     floor = max(1, math.ceil(offered_qps * service.mean_service_s))
+    guess = floor
+    if surrogate is not None:
+        from repro.surrogate.features import capacity_feature_row
 
-    def _config(replicas: int) -> ClusterConfig:
-        return ClusterConfig(
+        row = capacity_feature_row(
+            policy, offered_qps, service.mean_service_s, p99_slo_s,
+            service.jitter_sigma,
+        )
+        guess = int(round(float(surrogate.predict(row[None, :])[0])))
+
+    def _run(replicas: int, fail_fast: bool = False) -> ClusterReport:
+        config = ClusterConfig(
             replicas=replicas,
             num_hosts=math.ceil(max_replicas / 24) + 1,
             policy=policy,
@@ -197,8 +236,14 @@ def replicas_needed(
             admission=admission or AdmissionConfig(),
             seed=seed,
         )
+        return run_cluster(
+            config, service, requests, locality=locality,
+            fail_fast=fail_fast,
+        )
 
-    def _point(replicas: int, report: ClusterReport) -> CapacityPoint:
+    def _point(
+        replicas: int, report: ClusterReport, feasible: bool
+    ) -> CapacityPoint:
         return CapacityPoint(
             policy=policy,
             offered_qps=offered_qps,
@@ -207,65 +252,34 @@ def replicas_needed(
             utilization=report.utilization,
             shed_fraction=report.shed_fraction,
             cross_host_fraction=report.cross_host_fraction,
-            feasible=True,
+            feasible=feasible,
         )
 
-    if use_surrogate:
+    probed: Dict[int, ClusterReport] = {}
+
+    def _feasible(replicas: int) -> bool:
+        probed[replicas] = _run(replicas, fail_fast=True)
+        return probed[replicas].meets_slo(p99_slo_s)
+
+    answer, exact_runs = verified_min_feasible(
+        guess, floor, max_replicas, _feasible
+    )
+    if surrogate is not None:
         from repro.obs.metrics import active
-        from repro.surrogate.features import capacity_feature_row
-        from repro.surrogate.verify import verified_min_feasible
 
-        row = capacity_feature_row(
-            policy, offered_qps, service.mean_service_s, p99_slo_s,
-            service.jitter_sigma,
-        )
-        guess = int(round(float(surrogate.predict(row[None, :])[0])))
-        probed: Dict[int, ClusterReport] = {}
-
-        def _feasible(replicas: int) -> bool:
-            report = run_cluster(
-                _config(replicas), service, requests, locality=locality,
-                fail_fast=True,
-            )
-            probed[replicas] = report
-            return report.meets_slo(p99_slo_s)
-
-        answer, exact_calls = verified_min_feasible(
-            guess, floor, max_replicas, _feasible
-        )
         obs = active(registry)
         if obs.enabled:
             obs.counter("surrogate.capacity.predictions").inc()
-            obs.counter("surrogate.capacity.exact_runs").inc(exact_calls)
+            obs.counter("surrogate.capacity.exact_runs").inc(exact_runs)
             obs.counter("surrogate.capacity.linear_scan_runs").inc(
-                ((answer if answer is not None else max_replicas) - floor)
-                + 1
+                max(0, (max_replicas if answer is None else answer)
+                    - floor + 1)
             )
-        if answer is not None:
-            return _point(answer, probed[answer])
-    else:
-        for replicas in range(floor, max_replicas + 1):
-            report = run_cluster(
-                _config(replicas), service, requests, locality=locality,
-                fail_fast=True,
-            )
-            if report.meets_slo(p99_slo_s):
-                return _point(replicas, report)
+    if answer is not None:
+        return _point(answer, probed[answer], feasible=True)
     # No swept size held the SLO: re-run the ceiling exhaustively so the
     # reported statistics describe the full run, not a truncated probe.
-    report = run_cluster(
-        _config(max_replicas), service, requests, locality=locality
-    )
-    return CapacityPoint(
-        policy=policy,
-        offered_qps=offered_qps,
-        replicas=max_replicas,
-        p99_latency_s=report.p99_latency_s,
-        utilization=report.utilization,
-        shed_fraction=report.shed_fraction,
-        cross_host_fraction=report.cross_host_fraction,
-        feasible=False,
-    )
+    return _point(max_replicas, _run(max_replicas), feasible=False)
 
 
 def capacity_sweep(
@@ -276,23 +290,19 @@ def capacity_sweep(
     locality: Optional[ShardLocalityMap] = None,
     duration_s: float = 40.0,
     seed: int = 0,
-    use_surrogate: bool = False,
     surrogate=None,
 ) -> CapacitySweep:
     """The full hosts-vs-QPS grid, one seeded run per cell step.
 
-    ``use_surrogate=True`` forwards a fitted capacity surrogate into
-    every cell (see :func:`replicas_needed`): the grid's points are
-    unchanged, only the simulations-per-cell count drops.
+    A fitted capacity ``surrogate`` is forwarded into every cell (see
+    :func:`replicas_needed`): the grid's points are unchanged, only the
+    simulations-per-cell count drops.
     """
-    if use_surrogate and surrogate is None:
-        raise ValueError("use_surrogate=True needs a fitted surrogate")
     points = [
         replicas_needed(
             policy, qps, service,
             p99_slo_s=p99_slo_s, locality=locality,
-            duration_s=duration_s, seed=seed,
-            use_surrogate=use_surrogate, surrogate=surrogate,
+            duration_s=duration_s, seed=seed, surrogate=surrogate,
         )
         for policy in policies
         for qps in qps_points

@@ -19,15 +19,18 @@ fast/accurate split those papers argue for:
   or pick starting points, the exact model re-evaluates and certifies,
   and every returned answer is exact-evaluated.
 
-Integrations (all opt-in via ``use_surrogate=``, byte-identical when
-off): ``autotune.kernel_tuner.surrogate_tune`` / ``autotune.tuner``,
-``cluster.capacity.replicas_needed``, and
-``power.cluster_link.power_limited_capacity_sweep``.  CLI:
-``python -m repro surrogate [--smoke|--train|--sweep]``.
+Integrations (a passed ``surrogate=`` is the only selector; without
+one they run exactly as before): ``autotune.kernel_tuner.surrogate_tune``
+/ ``autotune.tuner``, ``cluster.capacity.replicas_needed`` /
+``capacity_sweep``, and
+``power.cluster_link.power_limited_capacity_sweep``.  The capacity
+searches run through :func:`verified_min_feasible` either way; the
+surrogate only picks where it starts.  CLI:
+``python -m repro surrogate [--smoke|--sweep]``.
 
 This package never imports ``repro.autotune`` at module level — the
 tuner imports *us*, and the cluster/power integrations import their
-surrogate helpers lazily inside their ``use_surrogate`` branches.
+surrogate helpers lazily inside the functions that use them.
 """
 
 from repro.surrogate.dataset import (
@@ -60,9 +63,7 @@ from repro.surrogate.model import (
 )
 from repro.surrogate.verify import (
     VerifiedArgmin,
-    argmin_match,
     verified_argmin,
-    verified_max_feasible,
     verified_min_feasible,
 )
 
@@ -79,7 +80,6 @@ __all__ = [
     "SurrogateModel",
     "TrainReport",
     "VerifiedArgmin",
-    "argmin_match",
     "capacity_feature_row",
     "collect_executor_dataset",
     "collect_executor_graph_dataset",
@@ -92,6 +92,5 @@ __all__ = [
     "train_gemm_surrogate",
     "train_power_surrogate",
     "verified_argmin",
-    "verified_max_feasible",
     "verified_min_feasible",
 ]

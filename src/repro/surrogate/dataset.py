@@ -34,8 +34,7 @@ from repro.arch.specs import ChipSpec
 from repro.fastsim.memo import KernelLatencyMemo
 from repro.graph.graph import OpGraph
 from repro.graph.ops import OpType
-from repro.kernels.gemm import GemmVariant, default_variants, estimate_gemm
-from repro.power.activity import chip_power_w
+from repro.kernels.gemm import GemmVariant, default_variants
 from repro.surrogate.features import (
     EXECUTOR_FEATURE_NAMES,
     GEMM_FEATURE_NAMES,
@@ -56,7 +55,6 @@ class SurrogateDataset:
 
     X: np.ndarray  # (N, D) float32
     latency_s: np.ndarray  # (N,) float64
-    energy_j: Optional[np.ndarray]  # (N,) float64, when collected
     feature_names: Tuple[str, ...]
 
     def __len__(self) -> int:
@@ -91,38 +89,15 @@ class DatasetRecorder:
     def __len__(self) -> int:
         return len(self.times_s)
 
-    def to_dataset(
-        self,
-        space: GemmFeatureSpace,
-        include_energy: bool = False,
-    ) -> SurrogateDataset:
-        """Build the training table for rows matching the space's dtype.
-
-        With ``include_energy`` each row's energy is derived from one
-        extra exact evaluation: ``time * chip_power_w(chip, f, util)``
-        with utilization the exact model's compute fraction.
-        """
+    def to_dataset(self, space: GemmFeatureSpace) -> SurrogateDataset:
+        """Build the training table for rows matching the space's dtype."""
         keep = [i for i, d in enumerate(self.dtypes) if d is space.dtype]
         shapes = [self.shapes[i] for i in keep]
         variants = [self.variants[i] for i in keep]
         times = np.array([self.times_s[i] for i in keep], dtype=np.float64)
         X = space.pair_matrix(shapes, variants)
-        energy = None
-        if include_energy:
-            energy = np.empty(len(keep), dtype=np.float64)
-            for row, ((m, k, n), variant, t) in enumerate(
-                zip(shapes, variants, times)
-            ):
-                est = estimate_gemm(
-                    GemmShape(m, k, n), space.chip, space.dtype, variant
-                )
-                util = min(1.0, est.compute_s / est.engine_time_s)
-                energy[row] = t * chip_power_w(
-                    space.chip, space.chip.frequency_hz, util
-                )
         return SurrogateDataset(
-            X=X, latency_s=times, energy_j=energy,
-            feature_names=GEMM_FEATURE_NAMES,
+            X=X, latency_s=times, feature_names=GEMM_FEATURE_NAMES,
         )
 
 
@@ -151,7 +126,6 @@ def collect_gemm_dataset(
     dtype: DType = DType.FP16,
     seed: int = 0,
     variants: Optional[Sequence[GemmVariant]] = None,
-    include_energy: bool = True,
 ) -> Tuple[SurrogateDataset, GemmFeatureSpace]:
     """Exact kernel-model traces over a seeded sample of tuning points.
 
@@ -167,7 +141,7 @@ def collect_gemm_dataset(
     )
     for (m, k, n), variant in zip(shapes, variant_picks):
         collection_memo.measure(GemmShape(m, k, n), variant, dtype)
-    return recorder.to_dataset(space, include_energy=include_energy), space
+    return recorder.to_dataset(space), space
 
 
 def collect_executor_dataset(
@@ -208,7 +182,6 @@ def collect_executor_dataset(
     return SurrogateDataset(
         X=space.pair_matrix(shapes, rows),
         latency_s=np.asarray(times, dtype=np.float64),
-        energy_j=None,
         feature_names=GEMM_FEATURE_NAMES,
     )
 
@@ -246,7 +219,6 @@ def collect_executor_graph_dataset(
     return SurrogateDataset(
         X=np.vstack(X).astype(np.float32),
         latency_s=np.asarray(times, dtype=np.float64),
-        energy_j=None,
         feature_names=EXECUTOR_FEATURE_NAMES,
     )
 
@@ -276,14 +248,13 @@ def train_gemm_surrogate(
     n_samples: int = 6000,
     dtype: DType = DType.FP16,
     seed: int = 0,
-    include_energy: bool = True,
     holdout_fraction: float = 0.2,
     n_rounds: int = 24,
 ) -> Tuple[GemmSurrogate, Dict[str, TrainReport]]:
-    """Collect traces and fit the kernel latency (+ energy) surrogate."""
+    """Collect traces and fit the kernel-latency surrogate.  The reports
+    are keyed by target (``"latency"``)."""
     dataset, space = collect_gemm_dataset(
         chip, n_samples=n_samples, dtype=dtype, seed=seed,
-        include_energy=include_energy,
     )
     latency = SurrogateModel(n_rounds=n_rounds)
     reports = {
@@ -292,14 +263,7 @@ def train_gemm_surrogate(
             holdout_fraction=holdout_fraction, target="latency",
         )
     }
-    energy = None
-    if include_energy and dataset.energy_j is not None:
-        energy = SurrogateModel(n_rounds=n_rounds)
-        reports["energy"] = energy.fit(
-            dataset.X, dataset.energy_j, seed=seed,
-            holdout_fraction=holdout_fraction, target="energy",
-        )
-    return GemmSurrogate(space, latency, energy), reports
+    return GemmSurrogate(space, latency), reports
 
 
 def train_capacity_surrogate(
@@ -363,7 +327,8 @@ def train_power_surrogate(
     :func:`repro.power.cluster_link.power_limited_capacity_sweep`.
     """
     from repro.arch.mtia import mtia2i_spec
-    from repro.power.cluster_link import max_qps_at_slo, service_model_at_budget
+    from repro.cluster.capacity import max_qps_at_slo
+    from repro.power.cluster_link import service_model_at_budget
 
     chip = chip or mtia2i_spec()
     X: List[np.ndarray] = []

@@ -374,10 +374,10 @@ class _FactorizedStack:
 
 
 class GemmSurrogate:
-    """The kernel-latency (and optionally energy) surrogate.
+    """The kernel-latency surrogate.
 
-    Wraps a :class:`GemmFeatureSpace` and fitted
-    :class:`SurrogateModel` stacks; exposes the two prediction paths
+    Wraps a :class:`GemmFeatureSpace` and a fitted
+    :class:`SurrogateModel` stack; exposes the two prediction paths
     the integrations use:
 
     * :meth:`predict_time_grid` — factorized shapes x variants sweep,
@@ -389,19 +389,10 @@ class GemmSurrogate:
     Instances are plain numpy state and pickle cleanly.
     """
 
-    def __init__(
-        self,
-        space: GemmFeatureSpace,
-        latency: SurrogateModel,
-        energy: Optional[SurrogateModel] = None,
-    ) -> None:
+    def __init__(self, space: GemmFeatureSpace, latency: SurrogateModel) -> None:
         self.space = space
         self.latency = latency
-        self.energy = energy
         self._fast = _FactorizedStack(latency)
-        self._fast_energy = (
-            _FactorizedStack(energy) if energy is not None else None
-        )
 
     @property
     def chip(self) -> ChipSpec:
@@ -414,16 +405,11 @@ class GemmSurrogate:
     def __getstate__(self):
         state = dict(self.__dict__)
         state.pop("_fast")
-        state.pop("_fast_energy")
         return state
 
     def __setstate__(self, state) -> None:
         self.__dict__.update(state)
         self._fast = _FactorizedStack(self.latency)
-        self._fast_energy = (
-            _FactorizedStack(self.energy) if self.energy is not None
-            else None
-        )
 
     def predict_time_grid(
         self,
@@ -434,17 +420,6 @@ class GemmSurrogate:
         sb, vb, cross = self.space.grid_blocks(shapes, variants)
         pred = self._fast.grid(sb, vb, cross)
         return np.exp2(pred) if self._fast.log_targets else pred
-
-    def predict_energy_grid(
-        self,
-        shapes: Sequence[Tuple[int, int, int]],
-        variants: Sequence[GemmVariant],
-    ) -> np.ndarray:
-        if self._fast_energy is None:
-            raise RuntimeError("no energy model attached")
-        sb, vb, cross = self.space.grid_blocks(shapes, variants)
-        pred = self._fast_energy.grid(sb, vb, cross)
-        return np.exp2(pred) if self._fast_energy.log_targets else pred
 
     def rank_variants(
         self,

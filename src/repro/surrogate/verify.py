@@ -12,23 +12,22 @@ answer was produced by the exact model:
   failure mode is *missing* a better candidate outside the top-k,
   which the quality-gap metric measures.
 
-* :func:`verified_min_feasible` / :func:`verified_max_feasible` — for
-  monotone feasibility searches (replicas-needed walks up, the power
-  sweep's QPS fraction walks down), the surrogate only chooses the
-  probe's *starting point*; exact evaluations then walk to the
-  boundary and certify it from both sides.  Under the monotonicity the
-  exact searches already assume, the result is *identical* to the
-  unguided linear scan — the surrogate can only change how many exact
-  runs it takes to get there (property-tested against the linear scan
-  in ``tests/test_surrogate_properties.py``).
+* :func:`verified_min_feasible` — the one boundary search under both
+  capacity questions (``replicas_needed`` walks replica counts up,
+  ``max_qps_at_slo`` walks the load ladder down).  A surrogate only
+  chooses the probe's *starting point*; exact evaluations then walk to
+  the boundary and certify it from both sides.  Started at ``lo`` it
+  probes ``lo, lo+1, ...`` — exactly a linear scan — so without a
+  surrogate the capacity searches run the scan's probes in the scan's
+  order.  Under monotone feasibility any other start returns the same
+  answer with a different number of exact runs (property-tested in
+  ``tests/test_surrogate_properties.py``).
 """
 
 from __future__ import annotations
 
 import dataclasses
 from typing import Callable, Dict, Optional, Sequence, Tuple
-
-import numpy as np
 
 
 @dataclasses.dataclass(frozen=True)
@@ -83,14 +82,15 @@ def verified_min_feasible(
 
     ``guess`` (clamped into range) is where exact probing starts — the
     surrogate's only influence.  Returns ``(answer, exact_calls)``;
-    ``answer`` is ``None`` when even ``hi`` is infeasible.  The answer
+    ``answer`` is ``None`` when even ``hi`` is infeasible, or when the
+    range is empty (``lo > hi``, nothing probed).  The answer
     always carries a two-sided exact certificate: ``feasible(answer)``
     was evaluated True and, when ``answer > lo``, ``feasible(answer-1)``
     was evaluated False — exactly the certificate the linear scan from
     ``lo`` produces, so the two agree on every monotone predicate.
     """
     if lo > hi:
-        raise ValueError("empty search range")
+        return None, 0
     probe = min(max(guess, lo), hi)
     calls = 0
     if feasible(probe):
@@ -113,39 +113,8 @@ def verified_min_feasible(
     return None, calls
 
 
-def verified_max_feasible(
-    guess: int,
-    lo: int,
-    hi: int,
-    feasible: Callable[[int], bool],
-) -> Tuple[Optional[int], int]:
-    """Largest ``i`` in ``[lo, hi]`` with ``feasible(i)``, assuming
-    feasibility is monotone non-increasing in ``i`` (the mirror image
-    of :func:`verified_min_feasible`)."""
-    answer, calls = verified_min_feasible(
-        lo + hi - min(max(guess, lo), hi), lo, hi,
-        lambda i: feasible(lo + hi - i),
-    )
-    return (None if answer is None else lo + hi - answer), calls
-
-
-def argmin_match(result: VerifiedArgmin, exact_best_index: int,
-                 exact_best_value: float) -> bool:
-    """Did the verified search recover the exhaustive argmin?
-
-    Matches on *value*, not index: candidate sets routinely contain
-    distinct variants with identical exact cost (e.g. broadcast/prefetch
-    don't move engine time), and any of them is a correct answer.
-    """
-    del exact_best_index
-    return bool(np.isclose(result.best_value, exact_best_value,
-                           rtol=1e-12, atol=0.0))
-
-
 __all__ = [
     "VerifiedArgmin",
-    "argmin_match",
     "verified_argmin",
-    "verified_max_feasible",
     "verified_min_feasible",
 ]

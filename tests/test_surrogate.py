@@ -1,5 +1,6 @@
 """Unit tests for repro.surrogate: features, models, verification, and
-the three opt-in integrations (kernel tuning, capacity, power)."""
+the three integrations a passed ``surrogate=`` guides (kernel tuning,
+capacity, power)."""
 
 from __future__ import annotations
 
@@ -16,7 +17,10 @@ from repro.fastsim.memo import KernelLatencyMemo
 from repro.kernels.gemm import default_variants
 from repro.models.zoo import lc1
 from repro.obs.metrics import MetricsRegistry
-from repro.power.cluster_link import power_limited_capacity_sweep
+from repro.power.cluster_link import (
+    power_limited_capacity_sweep,
+    service_model_at_budget,
+)
 from repro.surrogate import (
     DatasetRecorder,
     GemmFeatureSpace,
@@ -28,18 +32,19 @@ from repro.surrogate import (
     train_gemm_surrogate,
     train_power_surrogate,
     verified_argmin,
-    verified_max_feasible,
     verified_min_feasible,
 )
 from repro.surrogate.features import GEMM_FEATURE_NAMES
 from repro.tensors import DType, GemmShape
+from tests.capacity_reference import (
+    reference_max_qps_at_slo,
+    reference_replicas_needed,
+)
 
 CHIP = mtia2i_spec()
 # One small trained surrogate shared across the module: training is
 # deterministic, so sharing it changes nothing but wall time.
-SURROGATE, REPORTS = train_gemm_surrogate(
-    CHIP, n_samples=800, seed=0, include_energy=True
-)
+SURROGATE, REPORTS = train_gemm_surrogate(CHIP, n_samples=800, seed=0)
 
 QUERY_SHAPES = [(700, 1700, 800), (3000, 600, 2000), (150, 300, 150)]
 
@@ -103,7 +108,6 @@ class TestModel:
     def test_holdout_error_bands(self):
         assert REPORTS["latency"].mape_holdout <= 0.10
         assert REPORTS["latency"].p95_rel_error_holdout <= 0.20
-        assert REPORTS["energy"].mape_holdout <= 0.10
         assert REPORTS["latency"].n_holdout > 0
 
     def test_pickle_round_trip(self):
@@ -144,13 +148,6 @@ class TestVerify:
         assert answer is None
         assert calls == 5  # 5..9 probed once each
 
-    def test_max_feasible_mirror(self):
-        for boundary in range(0, 10):
-            feasible = lambda i: i <= boundary  # noqa: E731
-            for guess in range(-2, 12):
-                answer, _ = verified_max_feasible(guess, 0, 9, feasible)
-                assert answer == boundary
-
 
 class TestKernelIntegration:
     def test_surrogate_tune_matches_exhaustive_time(self):
@@ -188,7 +185,7 @@ class TestKernelIntegration:
         off = autotune_model(build, CHIP, model_name="lc1")
         on = autotune_model(
             build, CHIP, model_name="lc1",
-            use_surrogate=True, surrogate=SURROGATE,
+            surrogate=SURROGATE,
         )
         assert off.kernel_variants.keys() == on.kernel_variants.keys()
         for name, gold in off.kernel_variants.items():
@@ -198,10 +195,6 @@ class TestKernelIntegration:
         evals_off = sum(r.evaluations for r in off.kernel_variants.values())
         evals_on = sum(r.evaluations for r in on.kernel_variants.values())
         assert evals_on < evals_off / 10
-
-    def test_autotune_model_requires_surrogate(self):
-        with pytest.raises(ValueError):
-            autotune_model(lc1().graph_at, CHIP, use_surrogate=True)
 
 
 class TestDataset:
@@ -219,9 +212,8 @@ class TestDataset:
 
     def test_collect_gemm_dataset_deduplicates(self):
         dataset, _space = collect_gemm_dataset(CHIP, n_samples=300, seed=1)
-        assert dataset.X.shape[0] <= 300
-        assert dataset.energy_j is not None
-        assert np.all(dataset.energy_j > 0)
+        assert 0 < dataset.X.shape[0] <= 300
+        assert np.all(dataset.latency_s > 0)
 
     def test_collect_executor_dataset(self):
         dataset = collect_executor_dataset(
@@ -232,6 +224,10 @@ class TestDataset:
 
 
 class TestServingIntegrations:
+    """The guided capacity searches against the linear-scan oracles in
+    :mod:`tests.capacity_reference` (the searches without a surrogate
+    are compared call for call in ``tests/test_capacity_equivalence.py``)."""
+
     SERVICE = ServiceModel(mean_service_s=0.004, jitter_sigma=0.3)
 
     def test_replicas_needed_on_off_identical(self):
@@ -241,12 +237,12 @@ class TestServingIntegrations:
         )
         registry = MetricsRegistry()
         for qps in (500.0, 1000.0):
-            off = replicas_needed(
+            off = reference_replicas_needed(
                 "po2", qps, self.SERVICE, duration_s=6.0, max_replicas=40
             )
             on = replicas_needed(
                 "po2", qps, self.SERVICE, duration_s=6.0, max_replicas=40,
-                use_surrogate=True, surrogate=surrogate, registry=registry,
+                surrogate=surrogate, registry=registry,
             )
             assert off == on
         counters = registry.snapshot()["counters"]
@@ -258,15 +254,15 @@ class TestServingIntegrations:
             self.SERVICE, qps_points=(400.0, 1200.0),
             policies=("po2",), duration_s=6.0, max_replicas=40,
         )
-        off = capacity_sweep(
-            self.SERVICE, qps_points=(600.0,), policies=("po2",),
-            duration_s=6.0,
-        )
         on = capacity_sweep(
             self.SERVICE, qps_points=(600.0,), policies=("po2",),
-            duration_s=6.0, use_surrogate=True, surrogate=surrogate,
+            duration_s=6.0, surrogate=surrogate,
         )
-        assert off == on
+        assert on.points == (
+            reference_replicas_needed(
+                "po2", 600.0, self.SERVICE, duration_s=6.0
+            ),
+        )
 
     def test_power_sweep_on_off_identical(self):
         budgets = (1200.0, 1600.0, 2000.0, 2400.0)
@@ -275,29 +271,18 @@ class TestServingIntegrations:
             replicas=24, duration_s=6.0,
         )
         registry = MetricsRegistry()
-        off = power_limited_capacity_sweep(
-            self.SERVICE, budgets, replicas=24, duration_s=6.0
-        )
         on = power_limited_capacity_sweep(
             self.SERVICE, budgets, replicas=24, duration_s=6.0,
-            use_surrogate=True, surrogate=surrogate, registry=registry,
+            surrogate=surrogate, registry=registry,
         )
-        assert off == on
+        for point in on.points:
+            scaled, _ = service_model_at_budget(
+                self.SERVICE, point.per_chip_budget_w
+            )
+            assert (point.max_qps, point.p99_latency_s) == (
+                reference_max_qps_at_slo(scaled, 24, on.p99_slo_s, 6.0, 0)
+            )
         counters = registry.snapshot()["counters"]
         assert counters["surrogate.power.exact_runs"] <= counters[
             "surrogate.power.linear_scan_runs"
         ]
-
-    def test_use_surrogate_requires_model(self):
-        with pytest.raises(ValueError):
-            replicas_needed(
-                "po2", 100.0, self.SERVICE, use_surrogate=True
-            )
-        with pytest.raises(ValueError):
-            power_limited_capacity_sweep(
-                self.SERVICE, (1200.0,), use_surrogate=True
-            )
-        with pytest.raises(ValueError):
-            capacity_sweep(
-                self.SERVICE, (100.0,), use_surrogate=True
-            )

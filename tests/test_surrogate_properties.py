@@ -11,8 +11,9 @@ rests on:
   lookup sequence, and the recorded rows are exactly the cache misses;
 * verification soundness — ``verified_argmin`` returns the min over
   its exact-evaluated set (never a prediction), and
-  ``verified_min_feasible`` / ``verified_max_feasible`` agree with the
-  linear scan on every monotone predicate, from every starting guess.
+  ``verified_min_feasible`` agrees with the linear scan on every
+  monotone predicate, from every starting guess — and, started at its
+  lower bound, *is* the linear scan on any predicate at all.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from repro.surrogate import (
     DatasetRecorder,
     train_gemm_surrogate,
     verified_argmin,
-    verified_max_feasible,
     verified_min_feasible,
 )
 from repro.tensors import DType, GemmShape
@@ -146,22 +146,23 @@ def test_min_feasible_equals_linear_scan_on_monotone(
 @settings(max_examples=200, deadline=None)
 @given(
     lo=st.integers(min_value=-20, max_value=20),
-    size=st.integers(min_value=1, max_value=30),
-    boundary_offset=st.integers(min_value=-1, max_value=30),
-    guess=st.integers(min_value=-40, max_value=60),
+    outcomes=st.lists(st.booleans(), min_size=0, max_size=30),
 )
-def test_max_feasible_equals_linear_scan_on_monotone(
-    lo, size, boundary_offset, guess
-):
-    hi = lo + size - 1
-    boundary = lo + boundary_offset  # < lo means nothing is feasible
+def test_min_feasible_from_lo_probes_in_scan_order(lo, outcomes):
+    """With ``guess == lo`` the search probes ``lo, lo+1, ...`` up to the
+    first feasible point (or through ``hi``), for any predicate,
+    monotone or not — the probe sequence the capacity scans rely on.
+    An empty range (no outcomes, ``hi < lo``) probes nothing."""
+    hi = lo + len(outcomes) - 1
+    calls = []
 
     def feasible(i):
-        assert lo <= i <= hi
-        return i <= boundary
+        calls.append(i)
+        return outcomes[i - lo]
 
-    scan = next(
-        (i for i in range(hi, lo - 1, -1) if i <= boundary), None
-    )
-    answer, _ = verified_max_feasible(guess, lo, hi, feasible)
-    assert answer == scan
+    answer, exact_calls = verified_min_feasible(lo, lo, hi, feasible)
+    first = next((i for i, ok in enumerate(outcomes) if ok), None)
+    assert answer == (None if first is None else lo + first)
+    last = hi if answer is None else answer
+    assert calls == list(range(lo, last + 1))
+    assert exact_calls == len(calls)
