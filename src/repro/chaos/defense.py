@@ -25,7 +25,7 @@ exactly like ``defense=None``.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional
+from typing import AbstractSet, Dict, Optional, Set
 
 import numpy as np
 
@@ -223,10 +223,27 @@ class DefenseRuntime:
             if config.retry_tokens_per_s is not None else None
         )
         self._breakers: Dict[int, CircuitBreaker] = {}
-        # Tallies read by the campaign report.
+        # Ids whose breaker is not closed.  A breaker trips only in
+        # ``record_failure`` and closes only in ``record_success``, so
+        # the two ``on_replica_*`` hooks keep this exact.
+        self._tripped: Set[int] = set()
+        # Run tallies for inspection after the fact.  No report reads
+        # them — the chaos campaign scores the ClusterReport alone; the
+        # unit tests pin each one, and the routing-equivalence tests
+        # compare them across front-door implementations.
         self.retries_denied = 0
         self.deadline_drops = 0
         self.breaker_rejections = 0
+
+    @property
+    def tripped(self) -> AbstractSet[int]:
+        """Live view of the replica ids whose breaker is open or
+        half-open — the only ones :meth:`replica_allowed` can refuse.
+
+        The cluster front door keeps a reference and consults the
+        breakers of just these replicas on each routed request.
+        """
+        return self._tripped
 
     @property
     def deadline_s(self) -> Optional[float]:
@@ -291,11 +308,17 @@ class DefenseRuntime:
 
     def on_replica_success(self, replica_id: int, now_s: float) -> None:
         if self.config.breaker is not None:
-            self.breaker(replica_id).record_success(now_s)
+            breaker = self.breaker(replica_id)
+            breaker.record_success(now_s)
+            if breaker.state == BREAKER_CLOSED:
+                self._tripped.discard(replica_id)
 
     def on_replica_failure(self, replica_id: int, now_s: float) -> None:
         if self.config.breaker is not None:
-            self.breaker(replica_id).record_failure(now_s)
+            breaker = self.breaker(replica_id)
+            breaker.record_failure(now_s)
+            if breaker.state != BREAKER_CLOSED:
+                self._tripped.add(replica_id)
 
 
 __all__ = [

@@ -51,8 +51,12 @@ one :class:`~repro.fastsim.engine.EventEngine` popped in ``(time,
 sequence)`` order, every random draw from one seeded generator in a
 fixed order, so a seed fully determines the run — the property tests
 assert byte-identical event logs.  Queue depths are incremental
-counters; the test suite's oracle swaps in an engine that recounts them
-from scratch after every event.  An attached
+counters, and the front door's view is kept the same way: the routable
+replicas (up and reachable, in id order), the up count and the set of
+routable replicas at their admission cap change only where a replica's
+state, reachability or queue depth does, so routing a request does not
+rescan the replica set.  The test suite's oracle swaps in an engine
+that recounts all of them from scratch after every event.  An attached
 :class:`~repro.obs.metrics.MetricsRegistry` or
 :class:`~repro.obs.tracing.TraceWriter` observes without steering.
 """
@@ -61,7 +65,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -72,7 +76,7 @@ from repro.cluster.admission import AdmissionConfig
 from repro.cluster.autoscaler import Autoscaler
 from repro.cluster.locality import ShardLocalityMap
 from repro.cluster.provisioning import HostPool, ReplicaGrant
-from repro.cluster.routing import RoutingPolicy, healthy_candidates, make_policy
+from repro.cluster.routing import RoutingPolicy, make_policy
 from repro.cluster.service import ServiceModel
 from repro.fleet.allocator import AllocationError
 from repro.obs.metrics import MetricsRegistry, active
@@ -303,7 +307,7 @@ class _Replica:
         "replica_id", "shard", "state", "grant", "queue", "in_service",
         "in_service_cross", "in_service_rung", "service_token", "up_since",
         "up_seconds", "slow_factor", "partitioned", "forced_down",
-        "deferred_depart", "outstanding",
+        "deferred_depart", "outstanding", "routable",
     )
 
     def __init__(self, replica_id: int, shard: int,
@@ -334,6 +338,9 @@ class _Replica:
         # ``recount()`` is the definition; the test suite's validating
         # oracle checks the counter against it after every event.
         self.outstanding = 0
+        # Membership in the simulator's routable list; only
+        # ``ClusterSimulator._sync_routable`` changes it.
+        self.routable = False
 
     def recount(self) -> int:
         """The definitional queue depth the counter must always equal."""
@@ -442,6 +449,19 @@ class ClusterSimulator:
         self._outstanding_total = 0
         self._replicas: Dict[int, _Replica] = {}
         self._next_replica_id = 0
+        # The front door's view, maintained per state change (see
+        # _sync_routable): replicas that are up and not partitioned, in
+        # replica-id order; how many replicas are up; which routable
+        # replicas sit at the admission cap; and — shared live with the
+        # defense — which replicas' breakers are not closed.
+        self._routable: List[_Replica] = []
+        self._up = 0
+        self._full: Set[_Replica] = set()
+        self._cap = config.admission.max_outstanding_per_replica
+        self._tripped: AbstractSet[int] = (
+            frozenset() if defense is None else defense.tripped
+        )
+        self._brownout_level = 0
         self._target = config.replicas
         self._now = 0.0
         # Outcomes.
@@ -521,17 +541,52 @@ class ClusterSimulator:
             now_s=self._now,
         )
         self._replicas[replica_id] = replica
+        self._up += 1
+        self._sync_routable(replica)
         if self._tracer is not None:
             self._tracer.lane(f"replica-{replica_id}")
         return replica
 
     def _retire_replica(self, replica: _Replica) -> None:
         replica.accrue_up_time(self._now)
-        replica.state = "retired"
+        self._set_state(replica, "retired")
         if replica.grant is not None:
             self.pool.release(replica.grant)
             replica.grant = None
         self._emit("replica_retired", replica.replica_id)
+
+    def _set_state(self, replica: _Replica, state: str) -> None:
+        if replica.state == "up":
+            self._up -= 1
+        if state == "up":
+            self._up += 1
+        replica.state = state
+        self._sync_routable(replica)
+
+    def _set_partitioned(self, replica: _Replica, partitioned: bool) -> None:
+        replica.partitioned = partitioned
+        self._sync_routable(replica)
+
+    def _sync_routable(self, replica: _Replica) -> None:
+        """Bring ``replica``'s place in the routable list, and with it
+        in the full set, in line with its state and reachability."""
+        routable = replica.state == "up" and not replica.partitioned
+        if routable == replica.routable:
+            return
+        replica.routable = routable
+        members = self._routable
+        if routable:
+            # Ids only grow, so a spawn appends; a recovery walks back
+            # to its id-order slot.
+            position = len(members)
+            while position and members[position - 1].replica_id > replica.replica_id:
+                position -= 1
+            members.insert(position, replica)
+            if replica.outstanding >= self._cap:
+                self._full.add(replica)
+        else:
+            members.remove(replica)
+            self._full.discard(replica)
 
     # ------------------------------------------------------------------
     # Run
@@ -714,7 +769,35 @@ class ClusterSimulator:
         return self._outstanding_total
 
     def _up_count(self) -> int:
-        return sum(1 for r in self._replicas.values() if r.state == "up")
+        return self._up
+
+    def _candidates(self) -> List[_Replica]:
+        """The admissible routing targets, in replica-id order.
+
+        A replica qualifies when it is up, reachable (not severed by a
+        network partition), below the admission cap, and — with an
+        overload defense armed — admitted by its circuit breaker.  Only
+        breakers that are not closed are consulted, in replica order: a
+        closed breaker admits without side effect, so the lazy
+        open -> half-open transitions and the refusal tally are the same
+        as asking every replica.  With nothing at its cap and no breaker
+        tripped, the routable list itself is returned, uncopied;
+        callers must not mutate it.
+        """
+        routable = self._routable
+        tripped = self._tripped
+        if not tripped and not self._full:
+            return routable
+        cap = self._cap
+        if not tripped:
+            return [r for r in routable if r.outstanding < cap]
+        allowed = self.defense.replica_allowed
+        now_s = self._now
+        return [
+            r for r in routable
+            if r.outstanding < cap
+            and (r.replica_id not in tripped or allowed(r.replica_id, now_s))
+        ]
 
     def _route(self, index: int, mode: str) -> None:
         """Send one copy of request ``index`` through the front door.
@@ -755,10 +838,7 @@ class ClusterSimulator:
                 return
         admission = self.config.admission
         shard = self._shards[index]
-        candidates = healthy_candidates(
-            self._replicas.values(), admission,
-            now_s=self._now, defense=self.defense,
-        )
+        candidates = self._candidates()
         if candidates and not admission.tier_admissible(self._total_outstanding()):
             candidates = []
         chosen = self.policy.choose(candidates, shard, self._rng) \
@@ -779,6 +859,8 @@ class ClusterSimulator:
             chosen.queue.append((index, cross))
             chosen.outstanding += 1
             self._outstanding_total += 1
+        if chosen.outstanding >= self._cap:
+            self._full.add(chosen)
         if self._obs_enabled:
             self._obs.histogram("cluster.routed_outstanding").observe(
                 float(chosen.outstanding)
@@ -788,7 +870,7 @@ class ClusterSimulator:
         level = self.brownout.on_route(
             self._now, self._total_outstanding(), self._up_count()
         )
-        if level != getattr(self, "_brownout_level", 0):
+        if level != self._brownout_level:
             self._brownout_level = level
             self._obs.series("cluster.brownout_level").append(self._now, level)
             self._emit("brownout_level", level)
@@ -873,6 +955,9 @@ class ClusterSimulator:
         replica.in_service_rung = None
         replica.outstanding -= 1
         self._outstanding_total -= 1
+        # Routing fills a replica to the cap at most, so a completion
+        # leaves it below; dequeueing below only lowers it further.
+        self._full.discard(replica)
         if self.defense is not None:
             self.defense.on_replica_success(replica_id, self._now)
         if index in self._terminal:
@@ -952,7 +1037,7 @@ class ClusterSimulator:
         self._faults += 1
         was_draining = replica.state == "draining"
         replica.accrue_up_time(self._now)
-        replica.state = "down"
+        self._set_state(replica, "down")
         self._emit("fault", replica_id)
         if self.defense is not None:
             self.defense.on_replica_failure(replica_id, self._now)
@@ -975,7 +1060,7 @@ class ClusterSimulator:
         replica = self._replicas[replica_id]
         if replica.state != "down" or replica.forced_down:
             return
-        replica.state = "up"
+        self._set_state(replica, "up")
         replica.mark_up(self._now)
         self._emit("recover", replica_id)
 
@@ -1000,10 +1085,10 @@ class ClusterSimulator:
                 replica.slow_factor = 1.0
                 self._emit("slow_end", replica_id)
             elif injection.kind == "partition":
-                replica.partitioned = True
+                self._set_partitioned(replica, True)
                 self._emit("partition", replica_id)
             elif injection.kind == "heal":
-                replica.partitioned = False
+                self._set_partitioned(replica, False)
                 self._emit("heal", replica_id)
                 if replica.deferred_depart is not None:
                     self._push(
@@ -1019,8 +1104,8 @@ class ClusterSimulator:
         self._faults += 1
         was_draining = replica.state == "draining"
         replica.accrue_up_time(self._now)
-        replica.state = "down"
         replica.partitioned = False
+        self._set_state(replica, "down")
         replica.deferred_depart = None
         self._emit("inject_down", replica.replica_id)
         if self.defense is not None:
@@ -1038,7 +1123,7 @@ class ClusterSimulator:
         replica.forced_down = False
         if replica.state != "down":
             return
-        replica.state = "up"
+        self._set_state(replica, "up")
         replica.mark_up(self._now)
         self._emit("inject_up", replica.replica_id)
 
@@ -1127,7 +1212,7 @@ class ClusterSimulator:
             for replica in sorted(up, key=lambda r: -r.replica_id)[
                 : len(up) - desired
             ]:
-                replica.state = "draining"
+                self._set_state(replica, "draining")
                 self._emit("drain", replica.replica_id)
                 if replica.outstanding == 0:
                     self._retire_replica(replica)

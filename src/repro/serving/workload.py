@@ -64,8 +64,15 @@ def with_priorities(
     priorities = rng.choice(
         len(weights), size=len(requests), p=[w / total for w in weights]
     )
+    # Direct construction, not ``dataclasses.replace``: the
+    # field-introspecting replace() dominated this per-request re-stamp.
     return [
-        dataclasses.replace(request, priority=int(priority))
+        Request(
+            arrival_s=request.arrival_s,
+            samples=request.samples,
+            request_id=request.request_id,
+            priority=int(priority),
+        )
         for request, priority in zip(requests, priorities)
     ]
 

@@ -11,22 +11,29 @@ every count, every trace byte.
   :func:`repro.serving.scheduler.schedule_batches` (a ready-heap on
   :class:`~repro.fastsim.engine.EventEngine`) replaced.  Kept verbatim.
 * :func:`validating_cluster_engine` — the cluster simulator's fast path
-  changes *bookkeeping*, not algorithm (queue depths are incremental
-  counters), so its oracle is an invariant checker rather than a second
-  implementation: inside the context every
+  changes *bookkeeping*, not algorithm (queue depths, the routable
+  replica list, the up count, the full and tripped sets are all kept
+  incrementally), so its oracle is an invariant checker rather than a
+  second implementation: inside the context every
   :class:`~repro.cluster.simulator.ClusterSimulator` runs on a
-  :class:`ValidatingEngine`, which recounts every queue depth from
-  scratch after each event.
+  :class:`ValidatingEngine`, which recounts all of them from scratch
+  after each event.
+* :func:`healthy_candidates` — the original per-replica front-door scan
+  the maintained routable list replaced, kept verbatim;
+  :func:`per_replica_scan_routing` patches it (and a recounted up
+  count) back into the simulator, and :func:`recorded_cluster_runs`
+  captures each run's report and defense tallies for comparison.
 """
 
 from __future__ import annotations
 
 import contextlib
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import pytest
 
-from repro.cluster.simulator import ClusterSimulator
+from repro.chaos.defense import BREAKER_CLOSED
+from repro.cluster.simulator import ClusterReport, ClusterSimulator
 from repro.fastsim.engine import EventEngine
 from repro.obs.metrics import MetricsRegistry, active
 from repro.serving.batcher import Batch
@@ -128,11 +135,39 @@ def schedule_batches_reference(
     return result
 
 
+def healthy_candidates(replicas, admission, now_s=0.0, defense=None):
+    """The admissible routing targets at ``now_s``.
+
+    A replica is a candidate when it is up, reachable (not severed by a
+    network partition), and below the admission queue cap; when an
+    overload ``defense`` (duck-typing
+    :class:`repro.chaos.defense.DefenseRuntime`) is armed, its
+    per-replica circuit breaker must also admit traffic.  With
+    ``defense=None`` and no partitions this reduces exactly to the
+    historical up-and-admissible filter.
+    """
+    # Inlined ``admission.replica_admissible`` — this filter runs once
+    # per routed request and is the cluster tier's hottest loop.
+    cap = admission.max_outstanding_per_replica
+    candidates = [
+        r for r in replicas
+        if r.state == "up" and not r.partitioned and r.outstanding < cap
+    ]
+    if defense is not None:
+        candidates = [
+            r for r in candidates if defense.replica_allowed(r.replica_id, now_s)
+        ]
+    return candidates
+
+
 def validate_counters(simulator: ClusterSimulator, kind: str) -> None:
     """The incremental per-replica and tier-wide queue-depth counters
     must equal full recomputation, and non-serving replicas must hold no
     work (the original tier-wide sum skipped them, the counter does not
-    — equality requires both)."""
+    — equality requires both).  The front door's maintained view must
+    equal a recount too: the routable list (order included), the up
+    count, the set of routable replicas at the admission cap, and the
+    defense's set of breakers that are not closed."""
     serving_total = 0
     full_total = 0
     for replica in simulator._replicas.values():
@@ -153,6 +188,39 @@ def validate_counters(simulator: ClusterSimulator, kind: str) -> None:
             f"recount {full_total} (serving {serving_total}) "
             f"after {kind!r} at t={simulator._now}"
         )
+    where = f"after {kind!r} at t={simulator._now}"
+    routable = [
+        r for r in simulator._replicas.values()
+        if r.state == "up" and not r.partitioned
+    ]
+    if simulator._routable != routable:
+        raise AssertionError(
+            f"routable list {[r.replica_id for r in simulator._routable]} "
+            f"!= recount {[r.replica_id for r in routable]} {where}"
+        )
+    up = sum(1 for r in simulator._replicas.values() if r.state == "up")
+    if simulator._up_count() != up:
+        raise AssertionError(
+            f"up count {simulator._up_count()} != recount {up} {where}"
+        )
+    cap = simulator.config.admission.max_outstanding_per_replica
+    full = {r for r in routable if r.outstanding >= cap}
+    if simulator._full != full:
+        raise AssertionError(
+            f"full set {sorted(r.replica_id for r in simulator._full)} "
+            f"!= recount {sorted(r.replica_id for r in full)} {where}"
+        )
+    defense = simulator.defense
+    if defense is not None:
+        tripped = {
+            replica_id for replica_id, breaker in defense._breakers.items()
+            if breaker.state != BREAKER_CLOSED
+        }
+        if defense._tripped != tripped:
+            raise AssertionError(
+                f"tripped set {sorted(defense._tripped)} "
+                f"!= recount {sorted(tripped)} {where}"
+            )
 
 
 class ValidatingEngine(EventEngine):
@@ -192,3 +260,56 @@ def validating_cluster_engine() -> Iterator[List[ValidatingEngine]]:
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ClusterSimulator, "__init__", init)
         yield engines
+
+
+def defense_tallies(simulator: ClusterSimulator) -> Optional[Tuple[int, int, int]]:
+    """The armed defense's run tallies, or ``None`` without one."""
+    defense = simulator.defense
+    if defense is None:
+        return None
+    return (
+        defense.deadline_drops,
+        defense.retries_denied,
+        defense.breaker_rejections,
+    )
+
+
+@contextlib.contextmanager
+def per_replica_scan_routing() -> Iterator[None]:
+    """Route every ClusterSimulator inside the context through the
+    original per-replica scan: :func:`healthy_candidates` over every
+    replica for each routed request, and an up count recounted for
+    each brownout observation."""
+
+    def candidates(simulator):
+        return healthy_candidates(
+            simulator._replicas.values(), simulator.config.admission,
+            now_s=simulator._now, defense=simulator.defense,
+        )
+
+    def up_count(simulator):
+        return sum(1 for r in simulator._replicas.values() if r.state == "up")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ClusterSimulator, "_candidates", candidates)
+        patch.setattr(ClusterSimulator, "_up_count", up_count)
+        yield
+
+
+@contextlib.contextmanager
+def recorded_cluster_runs() -> Iterator[
+    List[Tuple[ClusterReport, Optional[Tuple[int, int, int]]]]
+]:
+    """Record every ClusterSimulator run inside the context: yields a
+    list that fills with one ``(report, defense_tallies)`` per run."""
+    runs: List[Tuple[ClusterReport, Optional[Tuple[int, int, int]]]] = []
+    original_run = ClusterSimulator.run
+
+    def run(simulator):
+        report = original_run(simulator)
+        runs.append((report, defense_tallies(simulator)))
+        return report
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ClusterSimulator, "run", run)
+        yield runs

@@ -44,7 +44,7 @@ from repro.chaos import (
     thermal_slow_factor,
 )
 from repro.chaos.campaign import CampaignConfig
-from repro.cluster import ClusterConfig, ServiceModel, run_cluster
+from repro.cluster import ClusterConfig, Injection, ServiceModel, run_cluster
 from repro.reliability.firmware import emergency_rollout
 from repro.serving import Request, with_priorities
 import numpy as np
@@ -346,6 +346,52 @@ class TestDefenseRuntime:
         assert not runtime.take_retry_token(0.0)
         assert runtime.retries_denied == 1
 
+    def test_breaker_rejections_count_each_refusal(self):
+        runtime = DefenseRuntime(DefenseConfig(breaker=BreakerConfig(
+            failure_threshold=1, cooldown_s=1.0, probe_quota=2,
+        )))
+        runtime.on_replica_failure(3, 0.0)  # trips open
+        for now_s in (0.1, 0.5, 0.9):
+            assert not runtime.replica_allowed(3, now_s)
+        assert runtime.breaker_rejections == 3
+        assert runtime.replica_allowed(0, 0.9)  # closed: admitted, uncounted
+        assert runtime.breaker_rejections == 3
+        # Past the cooldown the half-open breaker admits its probe quota,
+        # then refuses — and each refusal past the quota counts too.
+        for _ in range(2):
+            assert runtime.replica_allowed(3, 1.0)
+            runtime.on_dispatch(3, 1.0)
+        assert not runtime.replica_allowed(3, 1.0)
+        assert not runtime.replica_allowed(3, 1.1)
+        assert runtime.breaker(3).state == BREAKER_HALF_OPEN
+        assert runtime.breaker_rejections == 5
+
+    def test_breaker_rejections_count_refused_routing_attempts(self):
+        # One replica, arrivals every 100 ms: an outage at t=1.0 that
+        # ends at once trips the breaker, so the ten arrivals inside its
+        # 1 s cooldown (1.05 .. 1.95) are refused — and, with no client
+        # to retry, each refusal is one shed request.
+        runtime = DefenseRuntime(DefenseConfig(breaker=BreakerConfig(
+            failure_threshold=1, cooldown_s=1.0,
+        )))
+        requests = [
+            Request(arrival_s=0.05 + 0.1 * i, samples=8, request_id=i)
+            for i in range(40)
+        ]
+        report = run_cluster(
+            ClusterConfig(replicas=1, num_hosts=1, seed=0),
+            ServiceModel(mean_service_s=0.005, jitter_sigma=0.0),
+            requests,
+            defense=runtime,
+            injections=(
+                Injection(time_s=1.0, kind="down", targets=(0,)),
+                Injection(time_s=1.0, kind="up", targets=(0,)),
+            ),
+        )
+        assert runtime.breaker_rejections == 10
+        assert report.shed == 10
+        assert report.served == 30
+
 
 class TestBrownout:
     def _config(self):
@@ -492,6 +538,19 @@ class TestByteIdentityContract:
         ]
         again = with_priorities(requests, (0.5, 0.3, 0.2), seed=0)
         assert [r.priority for r in again] == [r.priority for r in weighted]
+
+    def test_priorities_equal_field_replacement(self):
+        requests = self._requests()
+        weights = (0.3, 0.5, 0.2)
+        priorities = np.random.default_rng(4).choice(
+            len(weights), size=len(requests),
+            p=[w / sum(weights) for w in weights],
+        )
+        expected = [
+            dataclasses.replace(request, priority=int(priority))
+            for request, priority in zip(requests, priorities)
+        ]
+        assert with_priorities(requests, weights, seed=4) == expected
 
 
 def test_campaign_scalars_cover_both_arms():
