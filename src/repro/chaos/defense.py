@@ -303,12 +303,16 @@ class DefenseRuntime:
         return False
 
     def on_dispatch(self, replica_id: int, now_s: float) -> None:
-        if self.config.breaker is not None:
-            self.breaker(replica_id).on_dispatch(now_s)
+        # Only a half-open breaker counts dispatches, and every breaker
+        # that is not closed is in the tripped set.
+        if replica_id in self._tripped:
+            self._breakers[replica_id].on_dispatch(now_s)
 
     def on_replica_success(self, replica_id: int, now_s: float) -> None:
-        if self.config.breaker is not None:
-            breaker = self.breaker(replica_id)
+        # Breakers come into being on a replica's first failure; before
+        # that a success would find a closed breaker with nothing to reset.
+        breaker = self._breakers.get(replica_id)
+        if breaker is not None:
             breaker.record_success(now_s)
             if breaker.state == BREAKER_CLOSED:
                 self._tripped.discard(replica_id)

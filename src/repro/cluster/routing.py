@@ -24,7 +24,7 @@ the whole run.
 
 from __future__ import annotations
 
-from typing import Optional, Protocol, Sequence
+from typing import Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -99,6 +99,28 @@ class LeastOutstandingPolicy(RoutingPolicy):
         return _least_outstanding(candidates)
 
 
+def po2_pair(rng: np.random.Generator, n: int) -> Tuple[int, int]:
+    """Two distinct indices below ``n`` (at least 2), drawn exactly as
+    ``rng.choice(n, 2, replace=False)`` draws them, at about half its
+    cost.  numpy answers that call with Floyd's algorithm — a bounded
+    draw over ``[0, n - 2]``, then one over ``[0, n - 1]`` that becomes
+    ``n - 1`` if it repeats the first — and a one-step Fisher-Yates
+    shuffle, a draw over ``[0, 1]`` that swaps the pair on 0.  The same
+    three bounded draws here return the same pair and leave the
+    generator in the same state; ``tests/fastsim_reference.py`` keeps
+    the ``choice`` call as the oracle.  The indices may be numpy
+    integers.
+    """
+    integers = rng.integers
+    first = integers(n - 1)
+    second = integers(n)
+    if second == first:
+        second = n - 1
+    if integers(2):
+        return first, second
+    return second, first
+
+
 class PowerOfTwoPolicy(RoutingPolicy):
     """Sample two distinct replicas, queue the less loaded one."""
 
@@ -107,10 +129,19 @@ class PowerOfTwoPolicy(RoutingPolicy):
     def choose(self, candidates, shard_id, rng):
         if not candidates:
             return None
-        if len(candidates) == 1:
+        n = len(candidates)
+        if n == 1:
             return candidates[0]
-        first, second = rng.choice(len(candidates), size=2, replace=False)
-        return _least_outstanding([candidates[int(first)], candidates[int(second)]])
+        first, second = po2_pair(rng, n)
+        # The pair's least-outstanding replica, ties to the lower id.
+        first = candidates[first]
+        second = candidates[second]
+        if second.outstanding < first.outstanding or (
+            second.outstanding == first.outstanding
+            and second.replica_id < first.replica_id
+        ):
+            return second
+        return first
 
 
 class LocalityAwarePolicy(RoutingPolicy):

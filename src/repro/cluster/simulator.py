@@ -458,6 +458,11 @@ class ClusterSimulator:
         self._up = 0
         self._full: Set[_Replica] = set()
         self._cap = config.admission.max_outstanding_per_replica
+        # The routing path reads these per request: the tier-wide
+        # admission cap (``AdmissionConfig.tier_admissible``, inlined)
+        # and whether an off-shard replica can exist at all.
+        self._tier_cap = config.admission.max_total_outstanding
+        self._multi_shard = self.locality.num_shards > 1
         self._tripped: AbstractSet[int] = (
             frozenset() if defense is None else defense.tripped
         )
@@ -466,7 +471,6 @@ class ClusterSimulator:
         self._now = 0.0
         # Outcomes.
         self._latencies: List[float] = []
-        self._admitted_at: Dict[int, float] = {}
         self._terminal: Dict[int, str] = {}
         self._attempts: Dict[int, int] = {}
         self._served = 0
@@ -650,6 +654,7 @@ class ClusterSimulator:
             slo_budget = (n - 1) - min(n - 1, int(round(0.99 * (n - 1))))
         pop = self._events.pop
         route = self._route
+        on_depart = self._on_depart
         while True:
             if fail_fast and (
                 self._shed or self._timed_out
@@ -662,9 +667,9 @@ class ClusterSimulator:
                 break
             self._now = time_s
             if kind == "arrival":
-                route(entity, mode="arrival")
+                route(entity, "arrival")
             elif kind == "depart":
-                self._on_depart(entity)
+                on_depart(entity)
             elif kind == "fault":
                 self._on_fault(entity)
             elif kind == "recover":
@@ -730,7 +735,6 @@ class ClusterSimulator:
     def _finalize_shed(self, index: int) -> None:
         self._terminal[index] = "shed"
         self._shed += 1
-        self._admitted_at.pop(index, None)
         self._emit("shed", index)
         if self._tracer is not None:
             self._tracer.instant(
@@ -741,7 +745,6 @@ class ClusterSimulator:
     def _finalize_timeout(self, index: int) -> None:
         self._terminal[index] = "timeout"
         self._timed_out += 1
-        self._admitted_at.pop(index, None)
         if self._obs_enabled:
             self._obs.counter("cluster.timed_out").inc()
         self._emit("timeout", index)
@@ -764,9 +767,6 @@ class ClusterSimulator:
     # ------------------------------------------------------------------
     # Handlers
     # ------------------------------------------------------------------
-
-    def _total_outstanding(self) -> int:
-        return self._outstanding_total
 
     def _up_count(self) -> int:
         return self._up
@@ -810,11 +810,12 @@ class ClusterSimulator:
         # including ones that end up shed — an overloaded tier must see
         # the demand it is turning away, not just what it admitted.
         self._window_offered += 1
-        request = self.requests[index]
+        now_s = self._now
+        defense = self.defense
         # Deadline propagation (defense): dead-on-arrival work is
         # dropped at the front door, never queued.
-        if self.defense is not None and self.defense.past_deadline(
-            self._now, request.arrival_s
+        if defense is not None and defense.past_deadline(
+            now_s, self.requests[index].arrival_s
         ):
             if index not in self._terminal:
                 self._finalize_timeout(index)
@@ -822,37 +823,45 @@ class ClusterSimulator:
         # The always-on retry cutoff: a fault-stranded request past its
         # deadline is lost, not re-routed forever.
         if (mode == "fault_retry" and self._retry_deadline_s is not None
-                and self._now > request.arrival_s + self._retry_deadline_s):
+                and now_s > self.requests[index].arrival_s
+                + self._retry_deadline_s):
             if index not in self._terminal:
                 self._finalize_timeout(index)
             return
         # Brownout ladder: observe pressure, shed below the priority floor.
-        if self.brownout is not None:
-            self._brownout_observe()
-            if not self.brownout.admit(request.priority):
+        brownout = self.brownout
+        if brownout is not None:
+            level = brownout.on_route(
+                now_s, self._outstanding_total, self._up_count()
+            )
+            if level != self._brownout_level:
+                self._brownout_level = level
+                self._obs.series("cluster.brownout_level").append(now_s, level)
+                self._emit("brownout_level", level)
+            if not brownout.admit(self.requests[index].priority):
                 if self._obs_enabled:
                     self._obs.counter("cluster.brownout_shed").inc()
                 self._emit("brownout_shed", index)
                 if index not in self._terminal:
                     self._drop_copy(index)
                 return
-        admission = self.config.admission
         shard = self._shards[index]
         candidates = self._candidates()
-        if candidates and not admission.tier_admissible(self._total_outstanding()):
-            candidates = []
-        chosen = self.policy.choose(candidates, shard, self._rng) \
-            if candidates else None
+        tier_cap = self._tier_cap
+        if not candidates or (
+            tier_cap is not None and self._outstanding_total >= tier_cap
+        ):
+            self._drop_copy(index)
+            return
+        chosen = self.policy.choose(candidates, shard, self._rng)
         if chosen is None:
             self._drop_copy(index)
             return
-        if mode == "arrival":
-            self._admitted_at[index] = self._now
-            if self._obs_enabled:
-                self._obs.counter("cluster.admitted").inc()
-        if self.defense is not None:
-            self.defense.on_dispatch(chosen.replica_id, self._now)
-        cross = chosen.shard != shard and self.locality.num_shards > 1
+        if mode == "arrival" and self._obs_enabled:
+            self._obs.counter("cluster.admitted").inc()
+        if defense is not None:
+            defense.on_dispatch(chosen.replica_id, now_s)
+        cross = self._multi_shard and chosen.shard != shard
         if chosen.in_service is None:
             self._start_service(chosen, index, cross)
         else:
@@ -866,19 +875,11 @@ class ClusterSimulator:
                 float(chosen.outstanding)
             )
 
-    def _brownout_observe(self) -> None:
-        level = self.brownout.on_route(
-            self._now, self._total_outstanding(), self._up_count()
-        )
-        if level != self._brownout_level:
-            self._brownout_level = level
-            self._obs.series("cluster.brownout_level").append(self._now, level)
-            self._emit("brownout_level", level)
-
     def _start_service(self, replica: _Replica, index: int, cross: bool) -> None:
-        service_s = self.service.sample(self._rng, cross_host=cross)
+        now_s = self._now
+        service_s = self.service.sample(self._rng, cross)
         if self.throttle is not None:
-            service_s *= self.throttle.multiplier(self._now)
+            service_s *= self.throttle.multiplier(now_s)
         if replica.slow_factor != 1.0:
             service_s *= replica.slow_factor
         rung_name = None
@@ -889,45 +890,91 @@ class ClusterSimulator:
         replica.in_service = index
         replica.in_service_cross = cross
         replica.in_service_rung = rung_name
-        replica.service_token += 1
+        token = replica.service_token + 1
+        replica.service_token = token
         replica.outstanding += 1
         self._outstanding_total += 1
-        self._push(
-            self._now + service_s, "depart",
-            (replica.replica_id, replica.service_token),
+        self._events.schedule(
+            now_s + service_s, ("depart", (replica.replica_id, token))
         )
         self._busy_seconds += service_s
         self._window_busy += service_s
         if self._tracer is not None:
             self._tracer.complete(
                 f"req-{self.requests[index].request_id}",
-                ts=self._now * 1e6, dur=service_s * 1e6,
+                ts=now_s * 1e6, dur=service_s * 1e6,
                 tid=self._tracer.lane(f"replica-{replica.replica_id}"),
                 cat="service",
                 args={"cross_host": int(cross)},
             )
 
-    def _on_arrival(self, index: int) -> None:
-        self._route(index, mode="arrival")
-
-    def _next_from_queue(self, replica: _Replica) -> None:
-        """Start the next viable queued request, discarding dead work.
-
-        With a deadline-propagating defense armed, entries past their
-        deadline are dropped at dequeue (pending ones become timeouts,
-        resolved ones are silently discarded) — a replica never burns
-        service time on an answer nobody is waiting for.  Without the
-        defense every entry is served, duplicates and stale work
-        included: that wasted capacity is exactly what makes an
-        undefended retry storm metastable.
-        """
-        deadline = None if self.defense is None else self.defense.deadline_s
-        while replica.queue:
-            index, cross = replica.queue.popleft()
+    def _on_depart(self, entity: Tuple[int, int]) -> None:
+        replica_id, token = entity
+        replica = self._replicas[replica_id]
+        index = replica.in_service
+        if index is None or replica.service_token != token:
+            return  # the request was re-routed when this replica faulted
+        if replica.partitioned:
+            # The response cannot cross the partition; deliver at heal.
+            replica.deferred_depart = token
+            return
+        now_s = self._now
+        rung = replica.in_service_rung
+        replica.in_service = None
+        replica.in_service_rung = None
+        replica.outstanding -= 1
+        self._outstanding_total -= 1
+        # Routing fills a replica to the cap at most, so a completion
+        # leaves it below; dequeueing below only lowers it further.
+        self._full.discard(replica)
+        defense = self.defense
+        if defense is not None:
+            defense.on_replica_success(replica_id, now_s)
+        if index in self._terminal:
+            # A duplicate copy of an already-resolved request: the
+            # capacity is spent, but nothing new is answered.
+            self._duplicate_service += 1
+            if self._obs_enabled:
+                self._obs.counter("cluster.duplicate_service").inc()
+            self._emit("duplicate", index)
+        else:
+            self._terminal[index] = "serve"
+            # Latency spans original arrival (not retry time) to
+            # completion.
+            latency = now_s - self.requests[index].arrival_s
+            self._latencies.append(latency)
+            if self._fail_fast and latency > self.config.p99_slo_s:
+                self._slo_over += 1
+            self._served += 1
+            if rung is not None:
+                self._brownout_counts[rung] = (
+                    self._brownout_counts.get(rung, 0) + 1
+                )
+            self._emit("serve", index)
+            if replica.in_service_cross:
+                self._cross_served += 1
+                if self._obs_enabled:
+                    self._obs.counter("cluster.cross_host_served").inc()
+            if self._obs_enabled:
+                self._obs.histogram("cluster.request_latency_s").observe(
+                    latency
+                )
+        # Start the next viable queued request, discarding dead work.
+        # With a deadline-propagating defense armed, entries past their
+        # deadline are dropped at dequeue (pending ones become timeouts,
+        # resolved ones are silently discarded) — a replica never burns
+        # service time on an answer nobody is waiting for.  Without the
+        # defense every entry is served, duplicates and stale work
+        # included: that wasted capacity is exactly what makes an
+        # undefended retry storm metastable.
+        queue = replica.queue
+        deadline = None if defense is None else defense.deadline_s
+        while queue:
+            index, cross = queue.popleft()
             replica.outstanding -= 1
             self._outstanding_total -= 1
             if deadline is not None and (
-                self._now > self.requests[index].arrival_s + deadline
+                now_s > self.requests[index].arrival_s + deadline
             ):
                 if index in self._terminal:
                     if self._obs_enabled:
@@ -939,57 +986,6 @@ class ClusterSimulator:
             return
         if replica.state == "draining":
             self._retire_replica(replica)
-
-    def _on_depart(self, entity: Tuple[int, int]) -> None:
-        replica_id, token = entity
-        replica = self._replicas[replica_id]
-        if replica.in_service is None or replica.service_token != token:
-            return  # the request was re-routed when this replica faulted
-        if replica.partitioned:
-            # The response cannot cross the partition; deliver at heal.
-            replica.deferred_depart = token
-            return
-        index = replica.in_service
-        rung = replica.in_service_rung
-        replica.in_service = None
-        replica.in_service_rung = None
-        replica.outstanding -= 1
-        self._outstanding_total -= 1
-        # Routing fills a replica to the cap at most, so a completion
-        # leaves it below; dequeueing below only lowers it further.
-        self._full.discard(replica)
-        if self.defense is not None:
-            self.defense.on_replica_success(replica_id, self._now)
-        if index in self._terminal:
-            # A duplicate copy of an already-resolved request: the
-            # capacity is spent, but nothing new is answered.
-            self._duplicate_service += 1
-            if self._obs_enabled:
-                self._obs.counter("cluster.duplicate_service").inc()
-            self._emit("duplicate", index)
-            self._next_from_queue(replica)
-            return
-        self._terminal[index] = "serve"
-        self._admitted_at.pop(index, None)
-        # Latency spans original arrival (not retry time) to completion.
-        start = self.requests[index].arrival_s
-        latency = self._now - start
-        self._latencies.append(latency)
-        if self._fail_fast and latency > self.config.p99_slo_s:
-            self._slo_over += 1
-        self._served += 1
-        if rung is not None:
-            self._brownout_counts[rung] = self._brownout_counts.get(rung, 0) + 1
-        self._emit("serve", index)
-        if replica.in_service_cross:
-            self._cross_served += 1
-            if self._obs_enabled:
-                self._obs.counter("cluster.cross_host_served").inc()
-        if self._obs_enabled:
-            self._obs.histogram("cluster.request_latency_s").observe(
-                self._now - start
-            )
-        self._next_from_queue(replica)
 
     def _strand_and_retry(self, replica: _Replica) -> None:
         """Re-dispatch everything a failed replica held through the

@@ -195,10 +195,12 @@ class SpillRouter:
         self.spilled_out = [0] * len(replicas)
         self.spilled_in = [0] * len(replicas)
         self.lb_shed = 0
-
-    def _down(self, region: int, t_s: float) -> bool:
-        monitor = self.monitors[region]
-        return monitor is not None and monitor.down_at(t_s)
+        # Assignments are immutable, so the common one — stay home — is
+        # built once per region and shared by every request it describes.
+        self._home = [
+            Assignment(region=region, spilled=False)
+            for region in range(len(replicas))
+        ]
 
     def _spill_down(self, region: int, t_s: float) -> bool:
         monitor = self.spill_monitors[region]
@@ -206,9 +208,10 @@ class SpillRouter:
 
     def assign(self, home: int, arrival_s: float) -> Assignment:
         """Route one arrival: home, spill, or LB shed."""
-        if not self._down(home, arrival_s):
+        monitor = self.monitors[home]
+        if monitor is None or not monitor.down_at(arrival_s):
             self.assigned[home] += 1
-            return Assignment(region=home, spilled=False)
+            return self._home[home]
         best: Optional[int] = None
         best_load = float("inf")
         for region in range(len(self.replicas)):

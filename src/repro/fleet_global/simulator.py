@@ -328,27 +328,27 @@ def run_fleet(
     dest_streams: List[List[Request]] = [[] for _ in range(num_regions)]
     dest_tags: List[List[Tuple[int, bool]]] = [[] for _ in range(num_regions)]
     lb_shed_by_origin = [0] * num_regions
+    assign = router.assign
+    spill_one_way_s = failover.spill_one_way_s
     for arrival_s, origin, index in order:
-        assignment = router.assign(origin, arrival_s)
+        assignment = assign(origin, arrival_s)
         if assignment.lb_shed:
             lb_shed_by_origin[origin] += 1
             continue
         request = streams[origin][index]
         dest = assignment.region
-        arrival = request.arrival_s
-        if assignment.spilled:
-            arrival += failover.spill_one_way_s
+        spilled = assignment.spilled
         bucket = dest_streams[dest]
-        # Direct construction instead of ``dataclasses.replace`` — this
-        # re-stamp runs once per routed request fleet-wide and the
-        # field-introspecting replace() dominated the LB pass.
+        # Direct positional construction instead of
+        # ``dataclasses.replace`` — this re-stamp runs once per routed
+        # request fleet-wide: (arrival_s, samples, request_id, priority).
         bucket.append(Request(
-            arrival_s=arrival,
-            samples=request.samples,
-            request_id=len(bucket),
-            priority=request.priority,
+            arrival_s + spill_one_way_s if spilled else arrival_s,
+            request.samples,
+            len(bucket),
+            request.priority,
         ))
-        dest_tags[dest].append((origin, assignment.spilled))
+        dest_tags[dest].append((origin, spilled))
 
     # Region pass: independent seeded cluster runs.
     extra_injections = extra_injections or {}

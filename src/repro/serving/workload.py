@@ -17,6 +17,9 @@ import numpy as np
 
 from repro.fastsim.vectorize import seeded_poisson_arrivals
 
+_TWO_PI = 2.0 * math.pi
+_HALF_PI = math.pi / 2.0
+
 
 @dataclasses.dataclass(frozen=True)
 class Request:
@@ -64,16 +67,11 @@ def with_priorities(
     priorities = rng.choice(
         len(weights), size=len(requests), p=[w / total for w in weights]
     )
-    # Direct construction, not ``dataclasses.replace``: the
+    # Direct positional construction, not ``dataclasses.replace``: the
     # field-introspecting replace() dominated this per-request re-stamp.
     return [
-        Request(
-            arrival_s=request.arrival_s,
-            samples=request.samples,
-            request_id=request.request_id,
-            priority=int(priority),
-        )
-        for request, priority in zip(requests, priorities)
+        Request(request.arrival_s, request.samples, request.request_id, priority)
+        for request, priority in zip(requests, priorities.tolist())
     ]
 
 
@@ -102,8 +100,8 @@ def poisson_stream(
         ).astype(int),
     )
     return [
-        Request(arrival_s=float(t), samples=int(s), request_id=i)
-        for i, (t, s) in enumerate(zip(arrivals, sizes))
+        Request(float(t), s, i)
+        for i, (t, s) in enumerate(zip(arrivals, sizes.tolist()))
     ]
 
 
@@ -157,17 +155,25 @@ class DiurnalTrafficModel:
             raise ValueError("peak-to-mean must be at least 1")
         if not (0 <= self.floor_fraction <= 1):
             raise ValueError("floor fraction must be in [0, 1]")
+        # ``rate_at`` runs once per candidate arrival of the thinning
+        # loop; its per-model terms are computed once here (same
+        # expressions, same floats).
+        object.__setattr__(
+            self, "_phase_angle", _TWO_PI * self.phase_h / 24.0
+        )
+        object.__setattr__(self, "_amplitude", self.peak_to_mean - 1.0)
 
     def rate_at(self, t_s: float) -> float:
         """Expected arrival rate (requests/s) at wall time ``t_s``."""
-        angle = 2.0 * math.pi * (t_s + self.phase_s) / self.day_length_s
+        angle = _TWO_PI * (t_s + self.phase_s) / self.day_length_s
         if self.phase_h:
             # Hours map onto the (possibly compressed) day: guarded so a
             # zero offset leaves the float math exactly as it was.
-            angle += 2.0 * math.pi * self.phase_h / 24.0
-        amplitude = self.peak_to_mean - 1.0
-        raw = 1.0 + amplitude * math.sin(angle - math.pi / 2.0)
-        return self.mean_rate_per_s * max(raw, self.floor_fraction)
+            angle += self._phase_angle
+        raw = 1.0 + self._amplitude * math.sin(angle - _HALF_PI)
+        floor = self.floor_fraction
+        # ``max(raw, floor)``, without the builtin call.
+        return self.mean_rate_per_s * (floor if floor > raw else raw)
 
     @property
     def peak_rate_per_s(self) -> float:
@@ -229,14 +235,23 @@ def diurnal_poisson_stream(
         return index >= 0 and t < episodes[index] + burst_duration_s
 
     lam_max = model.peak_rate_per_s * (burst_factor if episodes else 1.0)
+    # The thinning loop runs a few times per arrival: everything it
+    # looks up is bound once.  Outside a burst the rate was multiplied
+    # by 1.0, an exact no-op, so only burst episodes scale it.
+    exponential = rng.exponential
+    uniform = rng.random
+    rate_at = model.rate_at
+    scale = 1.0 / lam_max
     arrivals: List[float] = []
     t = 0.0
     while True:
-        t += rng.exponential(1.0 / lam_max)
+        t += exponential(scale)
         if t >= duration_s:
             break
-        rate = model.rate_at(t) * (burst_factor if in_burst(t) else 1.0)
-        if rng.random() * lam_max <= rate:
+        rate = rate_at(t)
+        if episodes and in_burst(t):
+            rate *= burst_factor
+        if uniform() * lam_max <= rate:
             arrivals.append(t)
     sizes = np.maximum(
         1,
@@ -245,8 +260,8 @@ def diurnal_poisson_stream(
         ).astype(int),
     )
     return [
-        Request(arrival_s=float(t), samples=int(s), request_id=i)
-        for i, (t, s) in enumerate(zip(arrivals, sizes))
+        Request(float(t), s, i)
+        for i, (t, s) in enumerate(zip(arrivals, sizes.tolist()))
     ]
 
 

@@ -23,20 +23,40 @@ every count, every trace byte.
   :func:`per_replica_scan_routing` patches it (and a recounted up
   count) back into the simulator, and :func:`recorded_cluster_runs`
   captures each run's report and defense tallies for comparison.
+* :func:`choice_po2_reference` — the ``Generator.choice`` draw that
+  :func:`repro.cluster.routing.po2_pair` recomposes from three bounded
+  draws; :func:`choice_po2_routing` patches the original
+  ``PowerOfTwoPolicy.choose`` built on it back in.
+* :func:`diurnal_poisson_stream_reference` — the original
+  Lewis-Shedler thinning loop (and the original ``rate_at`` it calls)
+  behind :func:`repro.serving.workload.diurnal_poisson_stream`, kept
+  verbatim.
+
+Every patching context yields a :class:`collections.Counter` of the
+calls its patches served (the validating engine counts the events it
+checked), so a test can require that the oracle actually ran: a later
+inlining that bypasses a patched seam fails loudly instead of
+comparing the fast path with itself.
 """
 
 from __future__ import annotations
 
+import bisect
+import collections
 import contextlib
+import math
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
 import pytest
 
 from repro.chaos.defense import BREAKER_CLOSED
+from repro.cluster.routing import PowerOfTwoPolicy, _least_outstanding
 from repro.cluster.simulator import ClusterReport, ClusterSimulator
 from repro.fastsim.engine import EventEngine
 from repro.obs.metrics import MetricsRegistry, active
 from repro.serving.batcher import Batch
+from repro.serving.workload import DiurnalTrafficModel, Request
 
 
 def schedule_batches_reference(
@@ -275,25 +295,125 @@ def defense_tallies(simulator: ClusterSimulator) -> Optional[Tuple[int, int, int
 
 
 @contextlib.contextmanager
-def per_replica_scan_routing() -> Iterator[None]:
+def per_replica_scan_routing() -> Iterator[collections.Counter]:
     """Route every ClusterSimulator inside the context through the
     original per-replica scan: :func:`healthy_candidates` over every
     replica for each routed request, and an up count recounted for
-    each brownout observation."""
+    each brownout observation.  Yields the calls served, under
+    ``"_candidates"`` and ``"_up_count"``."""
+    calls: collections.Counter = collections.Counter()
 
     def candidates(simulator):
+        calls["_candidates"] += 1
         return healthy_candidates(
             simulator._replicas.values(), simulator.config.admission,
             now_s=simulator._now, defense=simulator.defense,
         )
 
     def up_count(simulator):
+        calls["_up_count"] += 1
         return sum(1 for r in simulator._replicas.values() if r.state == "up")
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ClusterSimulator, "_candidates", candidates)
         patch.setattr(ClusterSimulator, "_up_count", up_count)
-        yield
+        yield calls
+
+
+def choice_po2_reference(rng: np.random.Generator, n: int) -> Tuple[int, int]:
+    """The power-of-two pair as routing originally drew it: one
+    ``Generator.choice`` call.  Oracle for
+    :func:`repro.cluster.routing.po2_pair`, which must return the same
+    pair and leave ``rng`` in the same state."""
+    first, second = rng.choice(n, size=2, replace=False)
+    return int(first), int(second)
+
+
+@contextlib.contextmanager
+def choice_po2_routing() -> Iterator[collections.Counter]:
+    """Route every power-of-two choice inside the context — the ``po2``
+    policy and the locality policy's spill fallback — through the
+    original ``PowerOfTwoPolicy.choose``, kept verbatim on
+    :func:`choice_po2_reference`.  Yields the draws made, under
+    ``"choice"``."""
+    calls: collections.Counter = collections.Counter()
+
+    def choose(policy, candidates, shard_id, rng):
+        if not candidates:
+            return None
+        if len(candidates) == 1:
+            return candidates[0]
+        calls["choice"] += 1
+        first, second = choice_po2_reference(rng, len(candidates))
+        return _least_outstanding([candidates[first], candidates[second]])
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(PowerOfTwoPolicy, "choose", choose)
+        yield calls
+
+
+def rate_at_reference(model: DiurnalTrafficModel, t_s: float) -> float:
+    """The original ``DiurnalTrafficModel.rate_at``, kept verbatim."""
+    angle = 2.0 * math.pi * (t_s + model.phase_s) / model.day_length_s
+    if model.phase_h:
+        angle += 2.0 * math.pi * model.phase_h / 24.0
+    amplitude = model.peak_to_mean - 1.0
+    raw = 1.0 + amplitude * math.sin(angle - math.pi / 2.0)
+    return model.mean_rate_per_s * max(raw, model.floor_fraction)
+
+
+def diurnal_poisson_stream_reference(
+    model: DiurnalTrafficModel,
+    duration_s: float,
+    samples_per_request: int = 64,
+    samples_jitter: float = 0.3,
+    burst_rate_per_hour: float = 0.0,
+    burst_factor: float = 3.0,
+    burst_duration_s: float = 30.0,
+    seed: int = 0,
+) -> Tuple[List[Request], np.random.Generator]:
+    """The original diurnal + bursty stream generator, kept verbatim
+    (argument checks aside), returning its generator too so a test can
+    compare the end state.  Oracle for
+    :func:`repro.serving.workload.diurnal_poisson_stream`."""
+    rng = np.random.default_rng(seed)
+    episodes: List[float] = []
+    if burst_rate_per_hour > 0:
+        episode_rate = burst_rate_per_hour / 3600.0
+        t = 0.0
+        while True:
+            t += rng.exponential(1.0 / episode_rate)
+            if t >= duration_s:
+                break
+            episodes.append(t)
+
+    def in_burst(t: float) -> bool:
+        index = bisect.bisect_right(episodes, t) - 1
+        return index >= 0 and t < episodes[index] + burst_duration_s
+
+    lam_max = model.peak_rate_per_s * (burst_factor if episodes else 1.0)
+    arrivals: List[float] = []
+    t = 0.0
+    while True:
+        t += rng.exponential(1.0 / lam_max)
+        if t >= duration_s:
+            break
+        rate = rate_at_reference(model, t) * (
+            burst_factor if in_burst(t) else 1.0
+        )
+        if rng.random() * lam_max <= rate:
+            arrivals.append(t)
+    sizes = np.maximum(
+        1,
+        np.round(
+            samples_per_request * rng.lognormal(0, samples_jitter, size=len(arrivals))
+        ).astype(int),
+    )
+    requests = [
+        Request(arrival_s=float(t), samples=int(s), request_id=i)
+        for i, (t, s) in enumerate(zip(arrivals, sizes))
+    ]
+    return requests, rng
 
 
 @contextlib.contextmanager

@@ -15,13 +15,21 @@ The oracles live in :mod:`tests.fastsim_reference`:
 * cluster / chaos / fleet — :func:`validating_cluster_engine`, the same
   event engine plus a from-scratch recount of every incremental
   queue-depth counter after every event (the NeuroScalar-style online
-  verifier).
+  verifier);
+* diurnal traffic — :func:`diurnal_poisson_stream_reference`, the
+  original thinning loop, kept verbatim: same requests and the same
+  generator end state.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.chaos import CampaignConfig as ChaosCampaignConfig
 from repro.chaos import run_scenario, scenario_by_name
@@ -38,8 +46,14 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import TraceWriter
 from repro.serving.batcher import CoalescingConfig, coalesce
 from repro.serving.scheduler import ModelJobProfile, schedule_batches
-from repro.serving.workload import poisson_stream
+from repro.serving.workload import (
+    DiurnalTrafficModel,
+    diurnal_poisson_stream,
+    poisson_stream,
+)
 from tests.fastsim_reference import (
+    diurnal_poisson_stream_reference,
+    rate_at_reference,
     schedule_batches_reference,
     validating_cluster_engine,
 )
@@ -174,3 +188,66 @@ class TestFleetDay:
             lambda: run_fleet(fleet, drill, defended=True)
         )
         assert fast == oracle
+
+
+def _stream_and_generator(model, duration_s, **kwargs):
+    """``diurnal_poisson_stream`` plus the generator it drew from."""
+    made = []
+    default_rng = np.random.default_rng
+
+    def recording_default_rng(seed=None):
+        made.append(default_rng(seed))
+        return made[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.random, "default_rng", recording_default_rng)
+        requests = diurnal_poisson_stream(model, duration_s, **kwargs)
+    [rng] = made
+    return requests, rng
+
+
+class TestDiurnalStream:
+    @pytest.mark.parametrize("model, kwargs", [
+        (
+            DiurnalTrafficModel(mean_rate_per_s=20.0, day_length_s=300.0),
+            dict(burst_rate_per_hour=90.0, burst_duration_s=15.0, seed=4),
+        ),
+        (
+            DiurnalTrafficModel(mean_rate_per_s=20.0, day_length_s=300.0),
+            dict(seed=5),
+        ),
+        (
+            DiurnalTrafficModel(
+                mean_rate_per_s=20.0, day_length_s=300.0, phase_s=40.0,
+                phase_h=-7.5,
+            ),
+            dict(burst_rate_per_hour=60.0, burst_factor=2.5, seed=6),
+        ),
+    ], ids=["bursts", "no-bursts", "phase-h"])
+    def test_stream_matches_reference(self, model, kwargs):
+        fast, fast_rng = _stream_and_generator(model, 300.0, **kwargs)
+        oracle, oracle_rng = diurnal_poisson_stream_reference(
+            model, 300.0, **kwargs
+        )
+        assert len(fast) > 1000
+        assert fast == oracle
+        assert fast_rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        mean=st.floats(min_value=1e-3, max_value=1e6),
+        peak_to_mean=st.floats(min_value=1.0, max_value=10.0),
+        day=st.floats(min_value=1.0, max_value=1e6),
+        phase_s=st.floats(min_value=-1e5, max_value=1e5),
+        phase_h=st.one_of(st.just(0.0), st.floats(min_value=-24, max_value=24)),
+        floor=st.floats(min_value=0.0, max_value=1.0),
+        t=st.floats(min_value=0.0, max_value=1e7),
+    )
+    def test_rate_at_matches_reference(self, mean, peak_to_mean, day,
+                                       phase_s, phase_h, floor, t):
+        model = DiurnalTrafficModel(
+            mean_rate_per_s=mean, peak_to_mean=peak_to_mean,
+            day_length_s=day, phase_s=phase_s, phase_h=phase_h,
+            floor_fraction=floor,
+        )
+        assert model.rate_at(t) == rate_at_reference(model, t)
