@@ -67,10 +67,10 @@ def _replacement_ablation():
         )
         for _ in range(3):
             for block in range(working_set_blocks):
-                cache.access(("w", block))
+                cache.access(block)
         cache.stats.reset()
         for block in range(working_set_blocks):
-            cache.access(("w", block))
+            cache.access(block)
         rates[policy] = cache.stats.hit_rate
     return rates
 

@@ -91,12 +91,15 @@ def simulate_tbe_hit_rate(
     rng: Optional[np.random.Generator] = None,
 ) -> float:
     """Replay a synthetic index stream through an LLC instance and return
-    the measured hit rate for embedding-row gathers."""
+    the measured hit rate for embedding-row gathers.
+
+    Rows are keyed by their integer index, so their set placement (and
+    the rate) does not depend on the process's hash salt."""
     rng = rng or np.random.default_rng(0)
     indices = pattern.sample(num_lookups, rng)
     before_hits, before_total = cache.stats.hits, cache.stats.accesses
     for index in indices:
-        cache.access(("tbe", int(index)), write=False, size_bytes=row_bytes)
+        cache.access(int(index), write=False, size_bytes=row_bytes)
     hits = cache.stats.hits - before_hits
     total = cache.stats.accesses - before_total
     return hits / total if total else 0.0

@@ -7,7 +7,7 @@ This is the performance model's core loop.  For each op in the schedule:
    Memory staging) and operand re-read factors;
 2. the memory hierarchy routes every operand according to its placement,
    measuring LLC hits with a real cache simulation (embedding gathers
-   replay a Zipf-skewed index stream);
+   take theirs from Che's approximation for a Zipf-skewed stream);
 3. the op's latency is the maximum of the engine time and each memory
    level's streaming time (engines and DMA pipeline against each other),
    plus the job-launch overhead;
@@ -23,8 +23,6 @@ from __future__ import annotations
 import dataclasses
 import math
 from typing import Callable, Dict, List, Optional
-
-import numpy as np
 
 from repro.arch.specs import ChipSpec
 from repro.graph.graph import OpGraph
@@ -135,7 +133,6 @@ class Executor:
         gemm_variant: Optional[GemmVariant] = None,
         variant_selector: Optional[Callable[[Op], GemmVariant]] = None,
         zipf_exponent: float = 1.05,
-        seed: int = 0,
         host_input_fraction: float = 1.0,
         temperature_c: Optional[float] = None,
     ) -> None:
@@ -143,7 +140,6 @@ class Executor:
         self.gemm_variant = gemm_variant
         self.variant_selector = variant_selector
         self.zipf_exponent = zipf_exponent
-        self.seed = seed
         self.host_input_fraction = host_input_fraction
         # Junction temperature for the leakage term of the energy model.
         # None evaluates leakage at the chip's reference temperature —
@@ -228,7 +224,8 @@ class Executor:
         ``warmup_runs`` graph passes prime the LLC first — production
         serving executes the same graph continuously, so steady-state hit
         rates (hot weights resident) are what matters, not cold-cache
-        behaviour.  Pass 0 to measure a cold first batch.
+        behaviour.  Pass 0 to measure a cold first batch.  A warmup pass
+        makes only the hierarchy reads and writes of a measured pass.
         """
         if batch <= 0:
             raise ValueError("batch must be positive")
@@ -236,25 +233,25 @@ class Executor:
             raise ValueError("warmup_runs must be non-negative")
         graph.validate_schedule()
         hierarchy, activation_bytes, in_lls = self._build_hierarchy(graph)
-        rng = np.random.default_rng(self.seed)
+        operands = [_operands(op) for op in graph.ops]
+        # Warmup only primes the LLC: the same hierarchy reads and writes
+        # in the same order as the measured pass, nothing else.
         for _ in range(warmup_runs):
-            for op in graph.ops:
-                estimate = self._estimate(op)
-                self._op_traffic(op, hierarchy, estimate, rng)
+            for reads, writes in operands:
+                for tensor in reads:
+                    hierarchy.read(tensor)
+                for tensor in writes:
+                    hierarchy.write(tensor)
         profiles: List[OpProfile] = []
         energy = 0.0
         sparse_hits = sparse_total = 0
-        sim_hits = sim_samples = 0
         dense_hits_before = hierarchy.llc.stats.hits if hierarchy.llc else 0
         dense_total_before = hierarchy.llc.stats.accesses if hierarchy.llc else 0
-        for op in graph.ops:
+        for op, (reads, writes) in zip(graph.ops, operands):
             estimate = self._estimate(op)
-            traffic, tbe_stats = self._op_traffic(op, hierarchy, estimate, rng)
-            if tbe_stats is not None:
-                sparse_hits += tbe_stats["scaled_hits"]
-                sparse_total += tbe_stats["total_rows"]
-                sim_hits += tbe_stats["sim_hits"]
-                sim_samples += tbe_stats["sim_samples"]
+            traffic, hits, rows = self._op_traffic(op, reads, writes, hierarchy, estimate)
+            sparse_hits += hits
+            sparse_total += rows
             profile = self._profile_op(op, estimate, traffic)
             profiles.append(profile)
             energy += self._op_energy(profile)
@@ -263,11 +260,6 @@ class Executor:
             dense_total = hierarchy.llc.stats.accesses - dense_total_before
         else:
             dense_hits = dense_total = 0
-        # The dense LLC counters include the *simulated* TBE accesses;
-        # subtract the simulation counts to report the dense-network hit
-        # rate on its own.
-        dense_hits -= sim_hits
-        dense_total -= sim_samples
         return ExecutionReport(
             chip_name=self.chip.name,
             model_name=graph.name,
@@ -291,13 +283,14 @@ class Executor:
             variant = self.gemm_variant
         return estimate_op(op, self.chip, gemm_variant=variant)
 
-    def _op_traffic(self, op, hierarchy, estimate, rng):
+    def _op_traffic(self, op, reads, writes, hierarchy, estimate):
         """Route the op's operands through the hierarchy; returns the
-        accumulated traffic and, for TBE ops, (hits, total) row stats."""
+        accumulated traffic and the TBE row (hits, total), (0, 0) for
+        other ops."""
         from repro.memory.hierarchy import Traffic
 
         traffic = Traffic()
-        tbe_stats = None
+        hits = rows = 0
         writebacks_before = (
             hierarchy.llc.stats.bytes_written_back if hierarchy.llc else 0
         )
@@ -305,15 +298,9 @@ class Executor:
         if op.op_type is OpType.TBE:
             tables = [t for t in op.inputs if t.kind == TensorKind.EMBEDDING]
             if tables:
-                gathered, tbe_stats = self._tbe_gather_traffic(op, tables, hierarchy, rng)
+                gathered, hits, rows = self._tbe_gather_traffic(op, tables, hierarchy)
                 traffic += gathered
-        seen = set()
-        for tensor in op.inputs:
-            if tensor.uid in seen:
-                continue
-            seen.add(tensor.uid)
-            if op.op_type is OpType.TBE and tensor.kind == TensorKind.EMBEDDING:
-                continue  # handled above
+        for tensor in reads:
             is_weight = tensor.kind in (TensorKind.WEIGHT, TensorKind.EMBEDDING)
             factor = (
                 estimate.weight_read_factor if is_weight else estimate.activation_read_factor
@@ -329,7 +316,7 @@ class Executor:
             # re-reads are served from on-chip staging after that.
             scaled.host_bytes = moved.host_bytes
             traffic += scaled
-        for tensor in op.outputs:
+        for tensor in writes:
             moved = hierarchy.write(tensor)
             traffic += _scale_traffic(moved, estimate.output_write_factor)
         if hierarchy.llc:
@@ -341,10 +328,11 @@ class Executor:
             )
         if self.host_input_fraction != 1.0:
             traffic.host_bytes *= self.host_input_fraction
-        return traffic, tbe_stats
+        return traffic, hits, rows
 
-    def _tbe_gather_traffic(self, op, tables, hierarchy, rng):
-        """Convert the Zipf-skewed row gather into byte traffic.
+    def _tbe_gather_traffic(self, op, tables, hierarchy):
+        """Convert the Zipf-skewed row gather into byte traffic and the
+        (hits, total) row counts.
 
         The steady-state LLC hit rate comes from Che's characteristic-
         time approximation (:mod:`repro.memory.che`) — replaying enough
@@ -377,13 +365,7 @@ class Executor:
             dram_bytes=total_bytes * (1.0 - hit_rate),
             noc_bytes=total_bytes,
         )
-        stats = {
-            "scaled_hits": int(round(hit_rate * total_rows)),
-            "total_rows": total_rows,
-            "sim_hits": 0,
-            "sim_samples": 0,
-        }
-        return traffic, stats
+        return traffic, int(round(hit_rate * total_rows)), total_rows
 
     def _profile_op(self, op, estimate, traffic) -> OpProfile:
         chip = self.chip
@@ -440,6 +422,23 @@ class Executor:
         busy = profile.compute_s / profile.time_s if profile.time_s else 0.0
         busy = min(1.0, busy)
         return profile.time_s * (leakage + dynamic * busy)
+
+
+def _operands(op: Op) -> tuple:
+    """The tensors an op reads (each once, TBE tables excluded: their
+    gather is modelled by Che's approximation) and writes, in the order
+    the hierarchy sees them."""
+    tbe = op.op_type is OpType.TBE
+    reads = []
+    seen = set()
+    for tensor in op.inputs:
+        if tensor.uid in seen:
+            continue
+        seen.add(tensor.uid)
+        if tbe and tensor.kind == TensorKind.EMBEDDING:
+            continue
+        reads.append(tensor)
+    return reads, op.outputs
 
 
 def _round_up_to(value: int, granule: int) -> int:

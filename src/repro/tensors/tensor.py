@@ -77,6 +77,10 @@ class TensorSpec:
 
     Instances are identified by ``uid`` so two tensors with the same shape
     remain distinct in liveness analysis and cache simulation.
+
+    ``num_bytes``, the storage footprint, is computed once at construction
+    (the fields are frozen) and kept out of equality, hashing, ``repr`` and
+    the pickled state.
     """
 
     shape: Tuple[int, ...]
@@ -92,6 +96,19 @@ class TensorSpec:
             raise ValueError(f"tensor dimensions must be positive, got {self.shape}")
         if self.kind not in TensorKind.ALL:
             raise ValueError(f"unknown tensor kind {self.kind!r}")
+        self._set_num_bytes()
+
+    def _set_num_bytes(self) -> None:
+        object.__setattr__(self, "num_bytes", self.num_elements * self.dtype.bytes)
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        del state["num_bytes"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._set_num_bytes()
 
     @property
     def num_elements(self) -> int:
@@ -100,11 +117,6 @@ class TensorSpec:
         for dim in self.shape:
             count *= dim
         return count
-
-    @property
-    def num_bytes(self) -> int:
-        """Storage footprint in bytes."""
-        return self.num_elements * self.dtype.bytes
 
     @property
     def rank(self) -> int:
